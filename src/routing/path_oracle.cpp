@@ -58,6 +58,7 @@ PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
     resolvedDirty_ = dirty.size();
     nextHop_ = baseline.nextHop_;
     klass_ = baseline.klass_;
+    const kernel::CompiledFilter compiled{filter, n_};
     const auto resolve = [&](topo::AsIndex dst,
                              kernel::DestScratch& scratch) {
         // The kernel assumes a cleared slab (it writes only the nodes it
@@ -67,7 +68,7 @@ PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
                     n_, -1);
         std::fill_n(klass_.begin() + static_cast<std::ptrdiff_t>(dst * n_),
                     n_, static_cast<std::uint8_t>(RouteClass::None));
-        kernel::solveDestination(*topo_, filter, dst, &nextHop_[dst * n_],
+        kernel::solveDestination(*topo_, compiled, dst, &nextHop_[dst * n_],
                                  &klass_[dst * n_], scratch);
     };
 
@@ -128,6 +129,7 @@ void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
     unfiltered_ = filter.empty();
     nextHop_.assign(n_ * n_, -1);
     klass_.assign(n_ * n_, static_cast<std::uint8_t>(RouteClass::None));
+    const kernel::CompiledFilter compiled{filter, n_};
 
     if (pool == nullptr) {
         // Sequential reference: the plain destination loop the parallel
@@ -138,7 +140,7 @@ void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
         kernel::DestScratch scratch;
         scratch.prepare(n_);
         for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-            kernel::solveDestination(*topo_, filter, dst,
+            kernel::solveDestination(*topo_, compiled, dst,
                                      &nextHop_[dst * n_], &klass_[dst * n_],
                                      scratch);
         }
@@ -154,7 +156,7 @@ void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
     // owns its scratch: no two lanes ever touch the same bytes, so the
     // result is independent of the chunk schedule.
     pool->parallelFor(n_, [&](std::size_t dst, std::size_t lane) {
-        kernel::solveDestination(*topo_, filter, dst, &nextHop_[dst * n_],
+        kernel::solveDestination(*topo_, compiled, dst, &nextHop_[dst * n_],
                                  &klass_[dst * n_], scratch[lane]);
     });
 }
@@ -183,9 +185,9 @@ bool isValleyFree(const topo::Topology& topology,
         const topo::AsIndex a = path[i];
         const topo::AsIndex b = path[i + 1];
         Edge edge{};
-        const auto& providers = topology.providersOf(a);
-        const auto& customers = topology.customersOf(a);
-        const auto& peers = topology.peersOf(a);
+        const auto providers = topology.providersOf(a);
+        const auto customers = topology.customersOf(a);
+        const auto peers = topology.peersOf(a);
         if (std::ranges::find(providers, b) != providers.end()) {
             edge = Edge::Up;
         } else if (std::ranges::find(customers, b) != customers.end()) {

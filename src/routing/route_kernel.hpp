@@ -1,7 +1,7 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "routing/route_oracle.hpp"
@@ -13,30 +13,71 @@
 /// the storage encoding alone, not of two solvers agreeing.
 namespace aio::route::kernel {
 
-/// Sentinel distance for "not yet reached". 32-bit: a path can visit at
-/// most n ASes, and n can exceed 65 k in the continent-scale regime, so
-/// the old uint16 scratch would wrap on pathological deep hierarchies.
-/// Scratch-only widening — the emitted matrices are unchanged.
-inline constexpr std::uint32_t kUnreached =
-    std::numeric_limits<std::uint32_t>::max();
+/// A LinkFilter compiled for the kernel's inner loops, so solving a
+/// destination does no hash lookup: one flag byte per AS (disabled /
+/// endpoint of a disabled link) answers every AS test, and every link
+/// test whose endpoints are not both flagged; only the rest probe the
+/// exact link set, by binary search over its sorted keys. Entries naming
+/// an AS index >= asCount cannot touch a route and are dropped. Compile
+/// once per oracle build or derive; immutable afterwards.
+class CompiledFilter {
+public:
+    CompiledFilter(const LinkFilter& filter, std::size_t asCount);
+
+    [[nodiscard]] std::size_t asCount() const { return flags_.size(); }
+
+    [[nodiscard]] bool asAllowed(topo::AsIndex as) const {
+        return (flags_[as] & kAsDisabled) == 0;
+    }
+    [[nodiscard]] bool linkAllowed(topo::AsIndex a, topo::AsIndex b) const {
+        if ((flags_[a] & flags_[b] & kLinkEndpoint) == 0) {
+            return true;
+        }
+        return !std::binary_search(links_.begin(), links_.end(),
+                                   linkKey(a, b));
+    }
+
+    /// Resident bytes: the flag array plus the disabled-link keys.
+    [[nodiscard]] std::size_t memoryBytes() const {
+        return flags_.size() + links_.size() * sizeof(std::uint64_t);
+    }
+
+private:
+    static constexpr std::uint8_t kAsDisabled = 1;
+    static constexpr std::uint8_t kLinkEndpoint = 2;
+
+    static std::uint64_t linkKey(topo::AsIndex a, topo::AsIndex b) {
+        const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
+        const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
+        return (hi << 32) | lo;
+    }
+
+    std::vector<std::uint8_t> flags_;  ///< per AS: kAsDisabled | kLinkEndpoint
+    std::vector<std::uint64_t> links_; ///< sorted keys of disabled links
+};
 
 /// Reusable per-lane working set: one of these per pool lane, so the
 /// hot loop never allocates and lanes never share mutable state.
 struct DestScratch {
     std::vector<std::uint32_t> dist;
-    std::vector<topo::AsIndex> frontier;
-    std::vector<topo::AsIndex> nextFrontier;
-    std::vector<std::vector<topo::AsIndex>> buckets;
+    /// Every AS the solve routes, in the order it routed them: the
+    /// customer cone by distance, then the peer-routed ASes by distance,
+    /// then the provider-routed ones as phase 3 reaches them.
+    std::vector<std::uint32_t> queue;
 
     /// Sizes the scratch for an n-AS topology (idempotent; call once per
     /// lane before the first solveDestination).
     void prepare(std::size_t n);
+
+    /// Bytes prepare(n) allocates.
+    [[nodiscard]] static std::size_t bytesFor(std::size_t n);
 };
 
 /// Solves all-source best routes towards `dst` under the standard
 /// Gao-Rexford model (customer > peer > provider, then shortest path,
 /// then lowest next-hop ASN), writing next-hop and route-class values
-/// into the caller's n-element row arrays.
+/// into the caller's n-element row arrays. Reads only flat arrays: the
+/// topology's adjacency arena and ASN ranks, and the compiled filter.
 ///
 /// Contract: `next` / `klass` must arrive pre-filled with -1 /
 /// RouteClass::None — the kernel writes only the nodes it reaches.
@@ -44,7 +85,7 @@ struct DestScratch {
 /// a pure function of (topology, filter, dst): whichever thread, lane, or
 /// storage policy runs this produces the same bytes.
 void solveDestination(const topo::Topology& topology,
-                      const LinkFilter& filter, topo::AsIndex dst,
+                      const CompiledFilter& filter, topo::AsIndex dst,
                       std::int32_t* next, std::uint8_t* klass,
                       DestScratch& scratch);
 

@@ -30,7 +30,7 @@ ShardedOracle::ShardedOracle(const topo::Topology& topology,
     : RouteOracle(topology),
       csr_(std::make_shared<const topo::CsrAdjacency>(
           topo::CsrAdjacency::fromTopology(topology))),
-      filter_(filter) {
+      filter_(filter, n_), unfiltered_(filter.empty()) {
     layout(config);
 }
 
@@ -38,15 +38,16 @@ ShardedOracle::ShardedOracle(DerivedTag,
                              std::shared_ptr<const ShardedOracle> baseline,
                              const LinkFilter& filter)
     : RouteOracle(baseline->topology()), csr_(baseline->csr_),
-      filter_(filter), baseline_(std::move(baseline)) {
+      filter_(filter, n_), unfiltered_(filter.empty()),
+      baseline_(std::move(baseline)) {
     AIO_EXPECTS(baseline_->unfiltered(),
                 "incremental baseline must be an unfiltered oracle");
-    allRowsDirty_ = filter_.disabledAsCount() > 0;
+    allRowsDirty_ = filter.disabledAsCount() > 0;
     if (!allRowsDirty_) {
         // Group the failed links by endpoint (both directions — my next
         // hop onto you, yours onto me), ordered for determinism.
         std::map<topo::AsIndex, std::vector<topo::AsIndex>> grouped;
-        for (const auto& [a, b] : filter_.disabledLinks()) {
+        for (const auto& [a, b] : filter.disabledLinks()) {
             if (a < n_ && b < n_) {
                 grouped[a].push_back(b);
                 grouped[b].push_back(a);
@@ -104,6 +105,7 @@ void ShardedOracle::layout(const ShardedOracleConfig& config) {
     // A derived oracle shares the baseline's CSR: counting those bytes
     // once (on the root) keeps cache byte-accounting honest.
     fixedBytes_ = (baseline_ ? 0 : csr_->memoryBytes()) +
+                  filter_.memoryBytes() +
                   wideRank_.size() * sizeof(std::uint32_t) +
                   wideSrcs_.size() * sizeof(std::uint32_t) +
                   rowState_.size() +
@@ -112,23 +114,26 @@ void ShardedOracle::layout(const ShardedOracleConfig& config) {
                   failedPartners_.size() * sizeof(topo::AsIndex);
     residentBytes_.store(fixedBytes_, std::memory_order_relaxed);
 
-    if (fixedBytes_ + maxShardBytes > config_.residentByteBudget) {
+    const std::size_t minimum =
+        fixedBytes_ + solveScratchBytes() + maxShardBytes;
+    if (minimum > config_.residentByteBudget) {
         throw net::CapacityError(
-            "sharded oracle needs " +
-            std::to_string(fixedBytes_ + maxShardBytes) +
-            " resident bytes (fixed overhead + one shard) for " +
+            "sharded oracle needs " + std::to_string(minimum) +
+            " resident bytes (fixed overhead + solve scratch + one shard)"
+            " for " +
             std::to_string(n_) + " ASes, over the budget of " +
             std::to_string(config_.residentByteBudget) +
             " — raise residentByteBudget or shrink shardDestinations");
     }
-
-    scratch_.prepare(n_);
-    rowNext_.resize(n_);
-    rowKlass_.resize(n_);
 }
 
 std::size_t ShardedOracle::shardArenaBytes(const Shard& shard) const {
     return shard.rows * rowBytes();
+}
+
+std::size_t ShardedOracle::solveScratchBytes() const {
+    return kernel::DestScratch::bytesFor(n_) +
+           n_ * (sizeof(std::int32_t) + sizeof(std::uint8_t));
 }
 
 std::size_t ShardedOracle::residentShardCount() const {
@@ -306,6 +311,14 @@ bool ShardedOracle::ensureRowLocked(topo::AsIndex dst) const {
             return true;
         }
         resolvedDirty_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (rowNext_.empty()) {
+        scratch_.prepare(n_);
+        rowNext_.resize(n_);
+        rowKlass_.resize(n_);
+        residentBytes_.fetch_add(solveScratchBytes(),
+                                 std::memory_order_relaxed);
+        enforceBudgetLocked(index);
     }
     solveRow(dst, rowNext_.data(), rowKlass_.data(), scratch_);
     rowState_[dst] = kRowSolved;

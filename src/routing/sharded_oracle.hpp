@@ -60,7 +60,9 @@ struct ShardedOracleConfig {
 /// function of (topology, filter, destination), so a dropped shard
 /// re-derives byte-identically — and whole shards evict LRU under
 /// `residentByteBudget`. memoryBytes() is therefore *live*: it reports
-/// what is resident now, which is what the memory-budgeted OracleCache
+/// what is resident now (fixed overhead including the compiled filter,
+/// the single-row solve scratch once the first row is solved, and the
+/// materialized shards), which is what the memory-budgeted OracleCache
 /// needs to re-poll.
 ///
 /// Derivation (deriveFiltered) keeps a shared reference to the unfiltered
@@ -76,11 +78,12 @@ struct ShardedOracleConfig {
 /// oracle).
 class ShardedOracle final : public RouteOracle {
 public:
-    /// Builds the shard scaffolding (CSR adjacency, wide-source ranks,
-    /// empty shard table) without solving any row: O(E) time, so a 50 k
-    /// substrate "builds" in milliseconds and pays per destination on
-    /// first touch. Throws net::CapacityError when the fixed overhead
-    /// plus one shard cannot fit the resident budget.
+    /// Builds the shard scaffolding (CSR adjacency, compiled filter,
+    /// wide-source ranks, empty shard table) without solving any row:
+    /// O(E) time, so a 50 k substrate "builds" in milliseconds and pays
+    /// per destination on first touch. Throws net::CapacityError when the
+    /// fixed overhead, the solve scratch and one shard cannot fit the
+    /// resident budget.
     explicit ShardedOracle(const topo::Topology& topology,
                            const LinkFilter& filter = {},
                            const ShardedOracleConfig& config = {});
@@ -97,9 +100,7 @@ public:
     [[nodiscard]] StoragePolicy storagePolicy() const override {
         return StoragePolicy::Sharded;
     }
-    [[nodiscard]] bool unfiltered() const override {
-        return filter_.empty();
-    }
+    [[nodiscard]] bool unfiltered() const override { return unfiltered_; }
 
     /// Lazy derivation; requires this oracle to be owned by a
     /// shared_ptr (it becomes the derived oracle's baseline). `pool` is
@@ -177,6 +178,9 @@ private:
 
     void layout(const ShardedOracleConfig& config);
     [[nodiscard]] std::size_t shardArenaBytes(const Shard& shard) const;
+    /// Bytes of the single-row solve scratch (kernel scratch plus the
+    /// row buffers), allocated on the first solve.
+    [[nodiscard]] std::size_t solveScratchBytes() const;
 
     // *Locked members require mutex_ held by the caller. solveRow /
     // classifyDirty also run from bulk-materialization lanes while the
@@ -207,7 +211,8 @@ private:
     lookupLocked(topo::AsIndex src, topo::AsIndex dst) const;
 
     std::shared_ptr<const topo::CsrAdjacency> csr_;
-    LinkFilter filter_;
+    kernel::CompiledFilter filter_; ///< compiled once, shared by every solve
+    bool unfiltered_ = true;
     ShardedOracleConfig config_; ///< normalized (budget resolved, limit clamped)
     std::shared_ptr<const ShardedOracle> baseline_; ///< set on derived only
     // Derived, link-only filters: the dirty probes, grouped CSR-style by
@@ -235,7 +240,9 @@ private:
     mutable std::atomic<std::uint64_t> shardEvictions_{0};
 
     // Single-row solve scratch (guarded by mutex_; bulk materialization
-    // uses per-lane copies instead).
+    // uses per-lane copies instead). Allocated and counted in
+    // residentBytes_ on the first single-row solve, so an oracle that
+    // only ever delegates clean rows never pays for it.
     mutable kernel::DestScratch scratch_;
     mutable std::vector<std::int32_t> rowNext_;
     mutable std::vector<std::uint8_t> rowKlass_;

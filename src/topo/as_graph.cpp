@@ -65,30 +65,67 @@ void Topology::addIxpMember(IxpIndex ixp, AsIndex member) {
 void Topology::finalize() {
     requireNotFinalized();
     finalized_ = true;
+    const std::size_t n = ases_.size();
+    AIO_EXPECTS(n < (std::size_t{1} << 32) &&
+                    2 * links_.size() < (std::size_t{1} << 32),
+                "topology too large for 32-bit adjacency arena");
 
-    providers_.assign(ases_.size(), {});
-    customers_.assign(ases_.size(), {});
-    peers_.assign(ases_.size(), {});
-    memberIxps_.assign(ases_.size(), {});
-
-    for (const AsLink& link : links_) {
-        if (link.kind == LinkKind::CustomerToProvider) {
-            providers_[link.a].push_back(link.b);
-            customers_[link.b].push_back(link.a);
-        } else {
-            peers_[link.a].push_back(link.b);
-            peers_[link.b].push_back(link.a);
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        asnIndex_.emplace_back(ases_[i].asn, i);
+    }
+    std::ranges::sort(asnIndex_);
+    for (std::size_t i = 1; i < asnIndex_.size(); ++i) {
+        AIO_EXPECTS(asnIndex_[i - 1].first != asnIndex_[i].first,
+                    "duplicate ASN in topology");
+    }
+    asnRank_.resize(n);
+    for (std::size_t rank = 0; rank < n; ++rank) {
+        asnRank_[asnIndex_[rank].second] = static_cast<std::uint32_t>(rank);
     }
     // Deterministic neighbor order (by ASN) so routing tie-breaks are
     // stable across runs regardless of construction order.
     const auto byAsn = [this](AsIndex lhs, AsIndex rhs) {
-        return ases_[lhs].asn < ases_[rhs].asn;
+        return asnRank_[lhs] < asnRank_[rhs];
     };
-    for (std::size_t i = 0; i < ases_.size(); ++i) {
-        std::ranges::sort(providers_[i], byAsn);
-        std::ranges::sort(customers_[i], byAsn);
-        std::ranges::sort(peers_[i], byAsn);
+
+    // Relation-split adjacency arena: count each (AS, relation) segment,
+    // prefix-sum the counts into bounds, scatter, then sort each segment.
+    adjBounds_.assign(kRelations * n + 1, 0);
+    const auto slot = [](AsIndex as, std::size_t relation) {
+        return kRelations * as + relation + 1;
+    };
+    for (const AsLink& link : links_) {
+        if (link.kind == LinkKind::CustomerToProvider) {
+            ++adjBounds_[slot(link.a, kProviders)];
+            ++adjBounds_[slot(link.b, kCustomers)];
+        } else {
+            ++adjBounds_[slot(link.a, kPeers)];
+            ++adjBounds_[slot(link.b, kPeers)];
+        }
+    }
+    for (std::size_t i = 1; i < adjBounds_.size(); ++i) {
+        adjBounds_[i] += adjBounds_[i - 1];
+    }
+    adjArena_.resize(adjBounds_.back());
+    std::vector<std::uint32_t> cursor(adjBounds_.begin(),
+                                      adjBounds_.end() - 1);
+    const auto place = [&](AsIndex as, std::size_t relation,
+                           AsIndex neighbor) {
+        adjArena_[cursor[kRelations * as + relation]++] =
+            static_cast<std::uint32_t>(neighbor);
+    };
+    for (const AsLink& link : links_) {
+        if (link.kind == LinkKind::CustomerToProvider) {
+            place(link.a, kProviders, link.b);
+            place(link.b, kCustomers, link.a);
+        } else {
+            place(link.a, kPeers, link.b);
+            place(link.b, kPeers, link.a);
+        }
+    }
+    for (std::size_t s = 0; s + 1 < adjBounds_.size(); ++s) {
+        std::sort(adjArena_.begin() + adjBounds_[s],
+                  adjArena_.begin() + adjBounds_[s + 1], byAsn);
     }
 
     for (const AsLink& link : links_) {
@@ -97,6 +134,7 @@ void Topology::finalize() {
         }
     }
 
+    memberIxps_.assign(n, {});
     for (std::size_t i = 0; i < ixps_.size(); ++i) {
         std::ranges::sort(ixps_[i].members, byAsn);
         for (const AsIndex member : ixps_[i].members) {
@@ -105,16 +143,10 @@ void Topology::finalize() {
         ixpLanTrie_.insert(ixps_[i].lanPrefix, i);
     }
 
-    for (std::size_t i = 0; i < ases_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         for (const net::Prefix& prefix : ases_[i].prefixes) {
             originTrie_.insert(prefix, i);
         }
-        asnIndex_.emplace_back(ases_[i].asn, i);
-    }
-    std::ranges::sort(asnIndex_);
-    for (std::size_t i = 1; i < asnIndex_.size(); ++i) {
-        AIO_EXPECTS(asnIndex_[i - 1].first != asnIndex_[i].first,
-                    "duplicate ASN in topology");
     }
 }
 
@@ -133,22 +165,22 @@ std::optional<AsIndex> Topology::indexOfAsn(Asn asn) const {
     return it->second;
 }
 
-const std::vector<AsIndex>& Topology::providersOf(AsIndex idx) const {
+std::span<const std::uint32_t> Topology::providersOf(AsIndex idx) const {
     requireFinalized();
     AIO_EXPECTS(idx < ases_.size(), "AS index OOB");
-    return providers_[idx];
+    return providersUnchecked(idx);
 }
 
-const std::vector<AsIndex>& Topology::customersOf(AsIndex idx) const {
+std::span<const std::uint32_t> Topology::customersOf(AsIndex idx) const {
     requireFinalized();
     AIO_EXPECTS(idx < ases_.size(), "AS index OOB");
-    return customers_[idx];
+    return customersUnchecked(idx);
 }
 
-const std::vector<AsIndex>& Topology::peersOf(AsIndex idx) const {
+std::span<const std::uint32_t> Topology::peersOf(AsIndex idx) const {
     requireFinalized();
     AIO_EXPECTS(idx < ases_.size(), "AS index OOB");
-    return peers_[idx];
+    return peersUnchecked(idx);
 }
 
 const std::vector<IxpIndex>& Topology::ixpsOf(AsIndex idx) const {

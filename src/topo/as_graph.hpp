@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -116,9 +117,14 @@ public:
     [[nodiscard]] std::size_t asCount() const { return ases_.size(); }
     [[nodiscard]] const AsInfo& as(AsIndex index) const;
     [[nodiscard]] std::optional<AsIndex> indexOfAsn(Asn asn) const;
-    [[nodiscard]] const std::vector<AsIndex>& providersOf(AsIndex idx) const;
-    [[nodiscard]] const std::vector<AsIndex>& customersOf(AsIndex idx) const;
-    [[nodiscard]] const std::vector<AsIndex>& peersOf(AsIndex idx) const;
+    /// Neighbors by relationship, each in ascending ASN order: views into
+    /// the adjacency arena finalize() builds, valid while the topology
+    /// lives.
+    [[nodiscard]] std::span<const std::uint32_t>
+    providersOf(AsIndex idx) const;
+    [[nodiscard]] std::span<const std::uint32_t>
+    customersOf(AsIndex idx) const;
+    [[nodiscard]] std::span<const std::uint32_t> peersOf(AsIndex idx) const;
     /// IXPs where this AS is a member.
     [[nodiscard]] const std::vector<IxpIndex>& ixpsOf(AsIndex idx) const;
 
@@ -155,9 +161,45 @@ public:
     [[nodiscard]] net::Ipv4Address routerAddress(AsIndex idx,
                                                  std::uint64_t salt) const;
 
+    // ---- routing-kernel hot path ----
+    // Inline views of the arenas finalize() builds, for the inner loops
+    // of route::kernel. Unchecked: the caller guarantees finalized() and
+    // idx < asCount().
+
+    /// Position of every AS's ASN in ascending ASN order, indexed by
+    /// AsIndex: comparing ranks orders exactly as comparing ASNs.
+    [[nodiscard]] std::span<const std::uint32_t> asnRanks() const noexcept {
+        return asnRank_;
+    }
+    [[nodiscard]] std::span<const std::uint32_t>
+    providersUnchecked(AsIndex idx) const noexcept {
+        return relationSpan(idx, kProviders);
+    }
+    [[nodiscard]] std::span<const std::uint32_t>
+    customersUnchecked(AsIndex idx) const noexcept {
+        return relationSpan(idx, kCustomers);
+    }
+    [[nodiscard]] std::span<const std::uint32_t>
+    peersUnchecked(AsIndex idx) const noexcept {
+        return relationSpan(idx, kPeers);
+    }
+
 private:
     void requireFinalized() const;
     void requireNotFinalized() const;
+
+    // Segment order of one AS's row in the adjacency arena.
+    static constexpr std::size_t kProviders = 0;
+    static constexpr std::size_t kCustomers = 1;
+    static constexpr std::size_t kPeers = 2;
+    static constexpr std::size_t kRelations = 3;
+
+    [[nodiscard]] std::span<const std::uint32_t>
+    relationSpan(AsIndex idx, std::size_t relation) const noexcept {
+        const std::uint32_t* bounds =
+            adjBounds_.data() + kRelations * idx + relation;
+        return {adjArena_.data() + bounds[0], bounds[1] - bounds[0]};
+    }
 
     /// Unordered pair key for adjacency lookups.
     static std::uint64_t linkKey(AsIndex a, AsIndex b) {
@@ -171,10 +213,12 @@ private:
     std::vector<AsLink> links_;
     bool finalized_ = false;
 
-    // adjacency, filled by finalize()
-    std::vector<std::vector<AsIndex>> providers_;
-    std::vector<std::vector<AsIndex>> customers_;
-    std::vector<std::vector<AsIndex>> peers_;
+    // Adjacency arena, filled by finalize(): AS i's row is its providers,
+    // then customers, then peers, each segment in ascending ASN order;
+    // segment r of row i spans [adjBounds_[3i + r], adjBounds_[3i + r + 1]).
+    std::vector<std::uint32_t> adjBounds_; ///< 3n + 1 arena offsets
+    std::vector<std::uint32_t> adjArena_;  ///< 2 entries per link
+    std::vector<std::uint32_t> asnRank_;   ///< AsIndex -> ASN order
     std::vector<std::vector<IxpIndex>> memberIxps_;
     net::PrefixTrie<AsIndex> originTrie_;
     net::PrefixTrie<IxpIndex> ixpLanTrie_;

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "netbase/error.hpp"
 
 namespace aio::topo {
 namespace {
+
+/// Copies an adjacency view so comparisons print both sides on failure.
+std::vector<AsIndex> asVector(std::span<const std::uint32_t> neighbors) {
+    return {neighbors.begin(), neighbors.end()};
+}
 
 AsInfo makeAs(Asn asn, std::string country, net::Region region,
               std::vector<net::Prefix> prefixes) {
@@ -46,9 +54,10 @@ protected:
 };
 
 TEST_F(SmallTopology, AdjacencyRolesAreDirectional) {
-    EXPECT_EQ(topo_.providersOf(a_), std::vector<AsIndex>{c_});
-    EXPECT_EQ(topo_.customersOf(c_), (std::vector<AsIndex>{a_, b_}));
-    EXPECT_EQ(topo_.peersOf(a_), std::vector<AsIndex>{b_});
+    EXPECT_EQ(asVector(topo_.providersOf(a_)), std::vector<AsIndex>{c_});
+    EXPECT_EQ(asVector(topo_.customersOf(c_)),
+              (std::vector<AsIndex>{a_, b_}));
+    EXPECT_EQ(asVector(topo_.peersOf(a_)), std::vector<AsIndex>{b_});
     EXPECT_TRUE(topo_.providersOf(c_).empty());
 }
 
@@ -145,7 +154,7 @@ TEST(TopologyConstruction, NeighborsSortedByAsn) {
     topo.addLink(a, hi, LinkKind::CustomerToProvider);
     topo.addLink(a, lo, LinkKind::CustomerToProvider);
     topo.finalize();
-    EXPECT_EQ(topo.providersOf(a), (std::vector<AsIndex>{lo, hi}));
+    EXPECT_EQ(asVector(topo.providersOf(a)), (std::vector<AsIndex>{lo, hi}));
 }
 
 } // namespace
