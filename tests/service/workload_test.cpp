@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "netbase/error.hpp"
 #include "obs/clock.hpp"
+#include "persist/bytes.hpp"
 #include "persist/record.hpp"
 #include "service/ledger.hpp"
 #include "service/service.hpp"
@@ -135,6 +137,40 @@ TEST(ObservatoryService, NamedDispatchMatchesTheLegacyEnumByteForByte) {
     const auto namedBytes = namedJournal.bytes();
     const auto legacyBytes = legacyJournal.bytes();
     EXPECT_TRUE(std::ranges::equal(namedBytes, legacyBytes));
+}
+
+// The write-ahead ledger's bytes after one request of each billing
+// shape (a light query, a one-scenario what-if, a three-scenario sweep
+// and an estimate), recorded from the reference service: billing and
+// journaling changes show up here even when every path moves together.
+TEST(ObservatoryService, LedgerBytesMatchTheRecordedValues) {
+    const auto snapshot = tinySnapshot(31);
+    obs::ManualClock clock;
+    persist::MemorySink journal;
+    ObservatoryService service{snapshot, {}, &clock, nullptr, &journal};
+    service.registerTenant(quotaFor("acme"));
+
+    std::vector<ServiceRequest> requests;
+    requests.push_back(namedRequest("query", "acme"));
+    requests.back().src = 3;
+    requests.back().dst = 7;
+    requests.push_back(namedRequest("whatif", "acme"));
+    requests.back().scenarios = cableCuts({"WACS"});
+    requests.push_back(namedRequest("sweep", "acme"));
+    requests.back().scenarios = cableCuts({"WACS", "SEACOM", "ACE"});
+    requests.push_back(namedRequest("estimate", "acme"));
+    requests.back().questionText = kQuestionText;
+    for (ServiceRequest& request : requests) {
+        auto future = service.submit(std::move(request));
+        ASSERT_EQ(service.drain(), 1u);
+        const ServiceResponse response = future.get();
+        ASSERT_EQ(response.status, ResponseStatus::Ok) << response.error;
+    }
+
+    const auto bytes = journal.bytes();
+    EXPECT_EQ(bytes.size(), 152u);
+    EXPECT_EQ(persist::fnv1a64(bytes), 0xe70499c8735da822ULL)
+        << std::hex << "0x" << persist::fnv1a64(bytes);
 }
 
 TEST(ObservatoryService, EstimateAndBillingShareTheWorkloadCostSeam) {
