@@ -788,7 +788,7 @@ void BM_ServiceThroughput(benchmark::State& state) {
             mix = mix * 6364136223846793005ULL + 1442695040888963407ULL;
             service::ServiceRequest request;
             request.tenant = "bench";
-            request.kind = service::RequestKind::Query;
+            request.workload = "query";
             request.src = static_cast<topo::AsIndex>(mix % asCount);
             request.dst =
                 static_cast<topo::AsIndex>((mix >> 17) % asCount);
@@ -846,7 +846,7 @@ void BM_ServiceSweepOverhead(benchmark::State& state) {
         for (auto _ : state) {
             service::ServiceRequest request;
             request.tenant = "bench";
-            request.kind = service::RequestKind::Sweep;
+            request.workload = "sweep";
             request.scenarios = batch;
             auto future = svc.submit(std::move(request));
             (void)svc.drain();

@@ -125,9 +125,8 @@ Substrate::Substrate(const topo::Topology& topology,
     if (!valid) {
         valid.error().raise();
     }
-    // The same derivation chain (and seed offsets) the legacy
-    // WhatIfEngine constructor used, so a Substrate-built engine is
-    // byte-identical to a legacy-built one.
+    // Derived what-if engines and sweep overlays re-derive through this
+    // constructor, so these seed offsets are the only ones in use.
     net::Rng mapRng{options_.seed};
     linkMap_ = std::make_unique<phys::PhysicalLinkMap>(
         *topo_, *registry_, mapRng, options_.linkConfig);
@@ -151,18 +150,6 @@ Substrate::tryCreate(const topo::Topology& topology,
     }
     return Substrate{topology, std::move(registry), dnsConfig,
                      contentConfig, options};
-}
-
-outage::ImpactAnalyzer
-Substrate::impactAnalyzer(std::optional<outage::ImpactConfig> config) const {
-    return outage::ImpactAnalyzer{*topo_,
-                                  *linkMap_,
-                                  *resolvers_,
-                                  *catalog_,
-                                  config.value_or(options_.impact),
-                                  options_.oracleCache,
-                                  options_.pool,
-                                  options_.metrics};
 }
 
 net::Expected<std::vector<phys::CableId>>

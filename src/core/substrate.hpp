@@ -23,18 +23,15 @@ namespace aio::core {
 /// The one substrate bundle every scenario-evaluation entry point builds
 /// from: topology + cable registry + DNS/content/link-map configuration +
 /// derivation seed, plus the optional shared accelerators (route cache,
-/// worker pool, metrics registry). Before this type existed,
-/// `WhatIfEngine`, `ImpactAnalyzer`, `CampaignSupervisor` and every bench
-/// hand-assembled the same bundle through divergent constructor
-/// signatures; now they all construct from a Substrate (the old
-/// constructors remain as deprecated forwarding shims for one PR — see
-/// DESIGN.md §10 for the schedule).
+/// worker pool, metrics registry). `WhatIfEngine`, the sweep engine, the
+/// planner and the service snapshot all read their layers from one.
 ///
 /// A Substrate owns the baseline derived layers (physical link map,
 /// resolver ecosystem, content catalog, impact analyzer), built exactly
-/// once with the same seed derivation the legacy constructors used — so
-/// engines sharing a Substrate share one baseline instead of re-deriving
-/// it per engine, and results stay byte-identical to the legacy path.
+/// once — so engines sharing a Substrate share one baseline instead of
+/// re-deriving it per engine. A what-if overlay (an added cable, a
+/// config override) is a new Substrate built from this one's options, so
+/// every layer in the codebase comes from the same derivation chain.
 ///
 /// Configuration is validated at construction (profile shares must be
 /// sane, probabilities in range, accelerators bound to the same
@@ -99,6 +96,9 @@ public:
         return options_.linkConfig;
     }
     [[nodiscard]] std::uint64_t seed() const { return options_.seed; }
+    /// Everything beyond the four mandatory layers — what a re-derived
+    /// Substrate copies to keep this one's seed and accelerators.
+    [[nodiscard]] const Options& options() const { return options_; }
     [[nodiscard]] const outage::ImpactConfig& impactConfig() const {
         return options_.impact;
     }
@@ -133,14 +133,6 @@ public:
     [[nodiscard]] const outage::ImpactAnalyzer& analyzer() const {
         return *analyzer_;
     }
-
-    /// A fresh ImpactAnalyzer over the substrate's baseline layers —
-    /// the Substrate-first way to construct one (the analyzer's
-    /// seven-argument constructor is the legacy spelling). `config`
-    /// defaults to the substrate's impact config.
-    [[nodiscard]] outage::ImpactAnalyzer
-    impactAnalyzer(std::optional<outage::ImpactConfig> config =
-                       std::nullopt) const;
 
 private:
     const topo::Topology* topo_;

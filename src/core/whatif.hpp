@@ -15,57 +15,34 @@ namespace aio::core {
 /// localization mandates, content localization) and re-evaluate outage
 /// impact / dependency metrics on the same substrate.
 ///
-/// Construct from a `Substrate` — the engine then *borrows* the
-/// substrate's baseline layers (link map, resolvers, catalog, analyzer)
-/// instead of re-deriving them, so engines over one substrate share one
-/// baseline. Value-style scenario composition: `withCable(...)`,
-/// `withDnsConfig(...)` etc. return a new engine sharing the topology but
-/// rebuilding the affected layers deterministically (same seeds), so
-/// before/after differences isolate the intervention. For evaluating
-/// scenarios in bulk, prefer `sweep::ScenarioSweepEngine`, which adds
-/// incremental route recomputation and cut-set dedupe on top of the same
-/// substrate.
+/// An engine is a view over a `Substrate`: it reads the substrate's
+/// layers (link map, resolvers, catalog, analyzer) instead of re-deriving
+/// them, so engines over one substrate share one baseline. Value-style
+/// scenario composition: `withCable(...)`, `withDnsConfig(...)` etc.
+/// return an engine that owns a Substrate re-derived with the changed
+/// layer — same topology, seed and accelerators — so before/after
+/// differences isolate the intervention. For evaluating scenarios in
+/// bulk, prefer `sweep::ScenarioSweepEngine`, which adds incremental
+/// route recomputation and cut-set dedupe on top of the same substrate.
 class WhatIfEngine {
 public:
-    /// Primary constructor: borrow `substrate`'s configuration, baseline
-    /// layers and accelerators. `substrate` must outlive the engine (and
-    /// every engine derived from it via withCable()/... — derived engines
-    /// own their rebuilt layers but still share the substrate's topology
-    /// and accelerators).
+    /// `substrate` must outlive the engine and every engine derived from
+    /// it: derived engines own their re-derived substrate but share this
+    /// one's topology and accelerators (route cache, pool, metrics).
     explicit WhatIfEngine(const Substrate& substrate);
-
-    /// Deprecated forwarding constructor (one more PR, then removal —
-    /// DESIGN.md §10): assembles the bundle a Substrate now carries and
-    /// derives private copies of every layer. Prefer
-    /// `WhatIfEngine{substrate}`.
-    ///
-    /// `oracleCache` / `pool` (optional, not owned, must outlive every
-    /// engine derived from this one) are forwarded to the impact analyzer:
-    /// scenario engines built via withCable()/withDnsConfig()/... share
-    /// the topology, so one failure-scenario cache serves the whole sweep
-    /// and repeated cut sets cost one route recomputation, not one per
-    /// engine per query. `metrics` (optional, not owned) is likewise
-    /// inherited by every derived engine: scenario recomputes show up as
-    /// `whatif.assess_seconds` plus the analyzer's own metrics.
-    WhatIfEngine(const topo::Topology& topology,
-                 phys::CableRegistry registry, dns::DnsConfig dnsConfig,
-                 content::ContentConfig contentConfig,
-                 phys::LinkMapConfig linkConfig = {},
-                 std::uint64_t seed = 99,
-                 route::OracleCache* oracleCache = nullptr,
-                 exec::WorkerPool* pool = nullptr,
-                 obs::MetricsRegistry* metrics = nullptr,
-                 outage::ImpactConfig impactConfig = {});
 
     WhatIfEngine(WhatIfEngine&&) noexcept = default;
     WhatIfEngine& operator=(WhatIfEngine&&) noexcept = default;
 
     // ---- scenario builders ----
-    [[nodiscard]] WhatIfEngine withCable(phys::SubseaCable cable) const;
     /// Applies a ScenarioSpec's *overlay* (cables added + config
     /// overrides) in one step; the spec's cut set is an event, not part
-    /// of the engine — build it with tryMakeCutEvent on the result.
+    /// of the engine — build it with tryMakeCutEvent on the result. A
+    /// changed layer that fails Substrate::validate throws
+    /// net::PreconditionError. The single-layer builders below are
+    /// one-field overlays.
     [[nodiscard]] WhatIfEngine withScenario(const ScenarioSpec& spec) const;
+    [[nodiscard]] WhatIfEngine withCable(phys::SubseaCable cable) const;
     [[nodiscard]] WhatIfEngine withDnsConfig(dns::DnsConfig config) const;
     [[nodiscard]] WhatIfEngine
     withContentConfig(content::ContentConfig config) const;
@@ -99,41 +76,21 @@ public:
                     const outage::OutageEvent& event) const;
 
     [[nodiscard]] const phys::CableRegistry& registry() const {
-        return registry_;
+        return substrate_->registry();
     }
     [[nodiscard]] const dns::ResolverEcosystem& resolvers() const {
-        return *resolversView_;
+        return substrate_->resolvers();
     }
     [[nodiscard]] const outage::ImpactAnalyzer& analyzer() const {
-        return *analyzerView_;
+        return substrate_->analyzer();
     }
-    [[nodiscard]] std::uint64_t seed() const { return seed_; }
+    [[nodiscard]] std::uint64_t seed() const { return substrate_->seed(); }
 
 private:
-    void rebuild();
-
-    const topo::Topology* topo_;
-    phys::CableRegistry registry_;
-    dns::DnsConfig dnsConfig_;
-    content::ContentConfig contentConfig_;
-    phys::LinkMapConfig linkConfig_;
-    std::uint64_t seed_;
-    route::OracleCache* oracleCache_ = nullptr;
-    exec::WorkerPool* pool_ = nullptr;
-    obs::MetricsRegistry* metrics_ = nullptr;
-    outage::ImpactConfig impactConfig_{};
-
-    // Owned layers (standalone / derived engines); null when the engine
-    // borrows a Substrate's baseline.
-    std::unique_ptr<phys::PhysicalLinkMap> linkMap_;
-    std::unique_ptr<dns::ResolverEcosystem> resolvers_;
-    std::unique_ptr<content::ContentCatalog> catalog_;
-    std::unique_ptr<outage::ImpactAnalyzer> analyzer_;
-
-    // Views resolving to the owned layers or the borrowed substrate's.
-    const dns::ResolverEcosystem* resolversView_ = nullptr;
-    const content::ContentCatalog* catalogView_ = nullptr;
-    const outage::ImpactAnalyzer* analyzerView_ = nullptr;
+    /// Set on derived engines only; heap-held so `substrate_` stays valid
+    /// when the engine moves.
+    std::unique_ptr<const Substrate> owned_;
+    const Substrate* substrate_;
 };
 
 } // namespace aio::core

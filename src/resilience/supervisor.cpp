@@ -44,18 +44,6 @@ CampaignSupervisor::CampaignSupervisor(const core::Observatory& observatory,
     config.validate();
 }
 
-CampaignSupervisor::CampaignSupervisor(const core::Observatory& observatory,
-                                       const core::Substrate& substrate,
-                                       SupervisorConfig config,
-                                       obs::Trace* trace)
-    : observatory_(&observatory), config_(config),
-      metrics_(substrate.metrics()), trace_(trace),
-      cache_(substrate.oracleCache()) {
-    AIO_EXPECTS(&substrate.topology() == &observatory.topology(),
-                "substrate bound to a different topology");
-    config.validate();
-}
-
 namespace {
 
 /// One task attempt waiting for its launch slot. Ordered by (readyHour,
@@ -657,15 +645,6 @@ double CampaignSupervisor::routableTaskShare(
     }
     return static_cast<double>(routable) /
            static_cast<double>(tasks.size());
-}
-
-double CampaignSupervisor::routableTaskShare(
-    std::span<const core::CampaignTask> tasks,
-    const route::LinkFilter& scenario) const {
-    AIO_EXPECTS(cache_ != nullptr,
-                "no oracle cache: construct the supervisor from a Substrate "
-                "carrying one, or pass a cache explicitly");
-    return routableTaskShare(tasks, scenario, *cache_);
 }
 
 void attachOracleCoverage(core::CampaignResult& result,

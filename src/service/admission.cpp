@@ -9,15 +9,6 @@
 
 namespace aio::service {
 
-std::string_view requestKindName(RequestKind kind) {
-    switch (kind) {
-    case RequestKind::Query: return "query";
-    case RequestKind::WhatIf: return "whatif";
-    case RequestKind::Sweep: return "sweep";
-    }
-    return "?";
-}
-
 std::string_view rejectReasonName(RejectReason reason) {
     switch (reason) {
     case RejectReason::None: return "none";
@@ -63,8 +54,9 @@ void AdmissionConfig::validate() const {
 }
 
 AdmissionController::AdmissionController(AdmissionConfig config,
+                                         const WorkloadRegistry& registry,
                                          obs::MetricsRegistry* metrics)
-    : config_(config), metrics_(metrics) {
+    : config_(config), metrics_(metrics), registry_(&registry) {
     config_.validate();
 }
 
@@ -90,23 +82,10 @@ bool AdmissionController::knowsTenant(std::string_view tenant) const {
 
 double
 AdmissionController::costMbFor(const ServiceRequest& request) const {
-    if (registry_ != nullptr) {
-        // The registry attribute is the single default-cost seam: what
-        // admission bills here is byte-for-byte what the ledger records
-        // and what a plan estimate quotes.
-        return registry_->resolveCostMb(request);
-    }
-    if (request.costMb > 0.0) {
-        return request.costMb;
-    }
-    switch (request.kind) {
-    case RequestKind::Query: return config_.queryCostMb;
-    case RequestKind::WhatIf: return config_.whatIfCostMb;
-    case RequestKind::Sweep:
-        return config_.sweepCostMbPerScenario *
-               static_cast<double>(request.scenarios.size());
-    }
-    return 0.0;
+    // The registry attribute is the single default-cost seam: what
+    // admission bills here is byte-for-byte what the ledger records and
+    // what a plan estimate quotes.
+    return registry_->resolveCostMb(request);
 }
 
 AdmissionDecision
@@ -117,17 +96,15 @@ AdmissionController::decide(const ServiceRequest& request,
     if (it == tenants_.end()) {
         return reject(RejectReason::UnknownTenant);
     }
-    const WorkloadInfo* info =
-        registry_ == nullptr ? nullptr
-                             : registry_->find(workloadNameOf(request));
-    if (registry_ != nullptr && info == nullptr) {
+    const WorkloadInfo* info = registry_->find(request.workload);
+    if (info == nullptr) {
         return reject(RejectReason::UnknownWorkload);
     }
     if (request.deadlineNanos != exec::kNoDeadlineNanos &&
         request.deadlineNanos <= nowNanos) {
         return reject(RejectReason::DeadlineUnmeetable);
     }
-    if (info != nullptr && info->deadline == DeadlinePolicy::Required &&
+    if (info->deadline == DeadlinePolicy::Required &&
         request.deadlineNanos == exec::kNoDeadlineNanos) {
         // A deadline-Required workload without a deadline can never meet
         // one — same reject family as an already-passed deadline.
@@ -136,12 +113,7 @@ AdmissionController::decide(const ServiceRequest& request,
     if (queueDepth >= config_.queueCapacity) {
         return reject(RejectReason::QueueFull);
     }
-    // Heaviness is a registry attribute; unbound controllers fall back
-    // to the legacy kind split (non-query = heavy).
-    const bool heavy = info != nullptr
-                           ? info->heavy
-                           : request.kind != RequestKind::Query;
-    if (heavy) {
+    if (info->heavy) {
         // Degradation ladder, cheapest rung first: shed heavy work at
         // the depth watermark, then at the resident-byte watermark.
         if (queueDepth >= config_.shedQueueDepth) {

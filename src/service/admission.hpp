@@ -26,19 +26,19 @@ struct TenantQuota {
 struct AdmissionConfig {
     /// Bounded queue: submissions past this are rejected QueueFull.
     std::size_t queueCapacity = 64;
-    /// Queue-depth watermark at which heavy kinds (WhatIf/Sweep) shed
-    /// with Overloaded while light queries still board. Must not exceed
-    /// queueCapacity.
+    /// Queue-depth watermark at which heavy workloads (whatif, sweep,
+    /// plan) shed with Overloaded while light ones still board. Must not
+    /// exceed queueCapacity.
     std::size_t shedQueueDepth = 48;
-    /// Resident-byte watermark: above it heavy kinds shed with
+    /// Resident-byte watermark: above it heavy workloads shed with
     /// MemoryPressure (the ladder also shrinks cache budgets — that part
     /// is the service's, not the controller's). 0 disables.
     std::uint64_t shedResidentBytes = 0;
     /// Retry-after hint attached to load-shed rejections.
     std::uint64_t retryAfterNanos = 1'000'000'000;
     /// Default billable megabytes per builtin workload when the request
-    /// leaves costMb zero. Sweeps bill per scenario. These seed the
-    /// WorkloadRegistry's builtin attributes — cost resolution itself
+    /// leaves costMb zero; whatif and sweep bill per scenario. These seed
+    /// the WorkloadRegistry's builtin attributes — cost resolution itself
     /// lives on the registry (WorkloadInfo::defaultCostMb), the single
     /// source admission billing and the charge ledger both read.
     double queryCostMb = 0.01;
@@ -68,24 +68,20 @@ struct AdmissionDecision {
 /// budget metering through TariffMeter, and deadline pre-flight. Pure
 /// decision logic over caller-supplied load facts — single-threaded by
 /// design; the service serializes calls under its own queue lock.
+/// Heaviness, deadline policy and default costs are the workload
+/// registry's attributes, looked up by the request's workload name.
 class AdmissionController {
 public:
-    /// `metrics` (optional, not owned) receives `service.admitted` and
+    /// `registry` (not owned) must outlive the controller. `metrics`
+    /// (optional, not owned) receives `service.admitted` and
     /// `service.rejected.<reason>` counters.
-    explicit AdmissionController(AdmissionConfig config,
-                                 obs::MetricsRegistry* metrics = nullptr);
+    AdmissionController(AdmissionConfig config,
+                        const WorkloadRegistry& registry,
+                        obs::MetricsRegistry* metrics = nullptr);
 
     /// Registers (or replaces) a tenant. Validates the quota's pricing.
     void registerTenant(const TenantQuota& quota);
     [[nodiscard]] bool knowsTenant(std::string_view tenant) const;
-
-    /// Binds the workload registry (not owned, must outlive the
-    /// controller) that decides heaviness, deadline policy and default
-    /// costs by name. Unbound, the controller falls back to the legacy
-    /// RequestKind switch — same decisions for the three legacy kinds.
-    void bindRegistry(const WorkloadRegistry* registry) {
-        registry_ = registry;
-    }
 
     /// Decides one submission given the current load facts. Admission
     /// bills the request's megabytes against the tenant's meter.
@@ -93,10 +89,9 @@ public:
     decide(const ServiceRequest& request, std::uint64_t nowNanos,
            std::size_t queueDepth, std::uint64_t residentBytes);
 
-    /// Billable megabytes for `request`: delegates to the bound
-    /// registry's per-workload attributes (the resolution the ledger
-    /// records too — one seam, so estimate and billing cannot
-    /// disagree); legacy per-kind switch when unbound.
+    /// Billable megabytes for `request`: delegates to the registry's
+    /// per-workload attributes (the resolution the ledger records too —
+    /// one seam, so estimate and billing cannot disagree).
     [[nodiscard]] double costMbFor(const ServiceRequest& request) const;
 
     [[nodiscard]] double spentUsd(std::string_view tenant) const;
@@ -127,7 +122,7 @@ private:
 
     AdmissionConfig config_;
     obs::MetricsRegistry* metrics_;
-    const WorkloadRegistry* registry_ = nullptr;
+    const WorkloadRegistry* registry_;
     /// std::map: deterministic iteration for tests and digests.
     std::map<std::string, Tenant, std::less<>> tenants_;
 };

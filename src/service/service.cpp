@@ -12,12 +12,11 @@ ObservatoryService::ObservatoryService(
     persist::ByteSink* ledgerSink)
     : config_(config), clock_(clock), metrics_(metrics), epochs_(metrics),
       registry_(WorkloadRegistry::builtins(config.admission)),
-      admission_(config.admission, metrics) {
+      admission_(config.admission, registry_, metrics) {
     AIO_EXPECTS(initial != nullptr,
                 "service needs a valid initial snapshot");
     AIO_EXPECTS(clock != nullptr, "service needs a clock");
     config_.validate();
-    admission_.bindRegistry(&registry_);
     if (ledgerSink != nullptr) {
         ledger_ = std::make_unique<TenantLedger>(*ledgerSink);
     }
@@ -292,8 +291,7 @@ ServiceResponse ObservatoryService::execute(Pending& pending) {
         // Admission already vetted the name; a lookup miss here would be
         // a registry mutation after serving started, which
         // registerWorkload forbids.
-        registry_.handler(workloadNameOf(request))(context, request,
-                                                   response);
+        registry_.handler(request.workload)(context, request, response);
         response.status = ResponseStatus::Ok;
         const std::lock_guard<std::mutex> lock{mutex_};
         ++completed_;

@@ -46,10 +46,10 @@ struct ServiceConfig {
 ///  * request deadlines propagate as exec::CancelToken through the
 ///    sweep engine and worker-pool chunk loop — an admitted request
 ///    either completes in time or resolves with a typed cancellation;
-///  * overload degrades stepwise instead of failing: heavy kinds shed
-///    at the queue-depth watermark, everything rejects at capacity,
+///  * overload degrades stepwise instead of failing: heavy workloads
+///    shed at the queue-depth watermark, everything rejects at capacity,
 ///    memory pressure shrinks the snapshot's cache budget and sheds
-///    heavy kinds, and a swap that fails validation leaves the service
+///    heavy workloads, and a swap that fails validation leaves the service
 ///    answering from the stale epoch with responses flagged degraded.
 ///
 /// Two execution modes share every code path above: step mode

@@ -10,7 +10,7 @@
 namespace aio::service {
 
 /// One seeded overload storm against a step-mode ObservatoryService:
-/// tenants submit a mixed Query/WhatIf/Sweep load while the fault
+/// tenants submit a mixed query/whatif/sweep load while the fault
 /// injector schedules slow handlers, topology swaps (some invalid),
 /// tenant floods and allocation-pressure spikes. Everything runs under a
 /// ManualClock on the calling thread, so a fixed seed reproduces the

@@ -15,6 +15,12 @@ namespace {
 
 void runQuery(const WorkloadContext& context, const ServiceRequest& request,
               ServiceResponse& response) {
+    // The oracle's next-hop accessor is unchecked (the scoring loops
+    // call it per pair), so tenant input is bounded here.
+    const std::size_t asCount = context.snapshot->topology().asCount();
+    AIO_EXPECTS(request.src < asCount && request.dst < asCount,
+                "query endpoints must be AS indices of the serving "
+                "snapshot");
     const route::RouteOracle& oracle =
         *context.snapshot->substrate().analyzer().baselineOracle();
     response.nextHop = oracle.nextHopOf(request.src, request.dst);
@@ -90,7 +96,8 @@ WorkloadRegistry WorkloadRegistry::builtins(const AdmissionConfig& config) {
                  &runQuery);
     registry.add({.name = "whatif",
                   .heavy = true,
-                  .defaultCostMb = config.whatIfCostMb},
+                  .defaultCostMb = config.whatIfCostMb,
+                  .perScenario = true},
                  &runSweep);
     registry.add({.name = "sweep",
                   .heavy = true,
@@ -130,10 +137,9 @@ WorkloadRegistry::resolveCostMb(const ServiceRequest& request) const {
     if (request.costMb > 0.0) {
         return request.costMb;
     }
-    const WorkloadInfo* info = find(workloadNameOf(request));
+    const WorkloadInfo* info = find(request.workload);
     if (info == nullptr) {
-        net::Error::notFound("unknown workload '" +
-                             std::string{workloadNameOf(request)} + "'")
+        net::Error::notFound("unknown workload '" + request.workload + "'")
             .raise();
     }
     if (info->perScenario) {
@@ -150,11 +156,6 @@ std::vector<std::string> WorkloadRegistry::names() const {
         names.push_back(name);
     }
     return names;
-}
-
-std::string_view workloadNameOf(const ServiceRequest& request) {
-    return request.workload.empty() ? requestKindName(request.kind)
-                                    : std::string_view{request.workload};
 }
 
 } // namespace aio::service

@@ -11,7 +11,6 @@
 
 #include "content/catalog.hpp"
 #include "core/studies.hpp"
-#include "core/whatif.hpp"
 #include "netbase/error.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/rng.hpp"
@@ -312,34 +311,35 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             // builds with its own pool (reentrancy), and the overlay's
             // layers differ from the substrate's anyway. Results are
             // byte-identical either way (oracle content depends only on
-            // topology + filter).
-            const core::WhatIfEngine engine{
-                substrate_->topology(),
-                std::move(registry),
+            // topology + filter). The plan phase validated the spec, so
+            // the overlay bundle passes Substrate's validation.
+            core::Substrate::Options overlayOptions = substrate_->options();
+            overlayOptions.linkConfig =
+                spec.linkMapOverride.value_or(substrate_->linkConfig());
+            overlayOptions.oracleCache = nullptr;
+            overlayOptions.pool = nullptr;
+            const core::Substrate overlaySubstrate{
+                substrate_->topology(), std::move(registry),
                 spec.dnsOverride.value_or(substrate_->dnsConfig()),
                 spec.contentOverride.value_or(substrate_->contentConfig()),
-                spec.linkMapOverride.value_or(substrate_->linkConfig()),
-                substrate_->seed(),
-                nullptr,
-                nullptr,
-                metrics,
-                substrate_->impactConfig()};
+                overlayOptions};
             // makeEvent resolves against the *augmented* registry and
             // canonicalizes the cut set; a cut-free event is an add-only
             // build-out future, scored against the overlay's own
             // (augmented) baseline.
-            auto event = spec.makeEvent(engine.registry());
+            auto event = spec.makeEvent(overlaySubstrate.registry());
             if (!event) {
                 slots[slot].emplace(event.error());
                 return;
             }
-            // Mirror engine.assess() draw for draw — a fresh seed+7
+            // Mirror WhatIfEngine::assess draw for draw — a fresh seed+7
             // stream advanced through filterFor, then scoring — but
             // resolve the degraded oracle incrementally from the
             // overlay's baseline (oracle content depends only on
             // topology + filter, so results are byte-identical to a
             // from-scratch build).
-            const outage::ImpactAnalyzer& overlayAnalyzer = engine.analyzer();
+            const outage::ImpactAnalyzer& overlayAnalyzer =
+                overlaySubstrate.analyzer();
             net::Rng rng{substrate_->seed() + 7};
             const route::LinkFilter filter =
                 overlayAnalyzer.filterFor(*event, rng);
@@ -366,7 +366,8 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                     meanCountryLoss(report), report.resolutionDays(),
                     studies.detourStudy(options_.detourSamplePairs, detourRng)
                         .overallDetourShare,
-                    engine.contentLocalShare()});
+                    content::LocalityAnalyzer{overlaySubstrate.catalog()}
+                        .overallLocalShare()});
             }
         }, options_.cancel);
         result.stats.overlayScenarios = overlay.size();

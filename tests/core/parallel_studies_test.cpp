@@ -73,6 +73,22 @@ TEST(ParallelStudies, AggregatesInvariantUnderThreadCount) {
 
 // ---- what-if scenario cache: golden seed-replay ----
 
+/// Default layers at the default seed (99).
+Substrate defaultSubstrate(const topo::Topology& topo,
+                           Substrate::Options options = {}) {
+    return Substrate{topo, phys::CableRegistry::africanDefaults(),
+                     dns::DnsConfig::defaults(),
+                     content::ContentConfig::defaults(), options};
+}
+
+Substrate::Options cachedOptions(route::OracleCache& cache,
+                                 exec::WorkerPool& pool) {
+    Substrate::Options options;
+    options.oracleCache = &cache;
+    options.pool = &pool;
+    return options;
+}
+
 void expectSameImpactReport(const outage::ImpactReport& a,
                             const outage::ImpactReport& b) {
     ASSERT_EQ(a.countries.size(), b.countries.size());
@@ -92,11 +108,10 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const WhatIfEngine cached{topo, phys::CableRegistry::africanDefaults(),
-                              dns::DnsConfig::defaults(),
-                              content::ContentConfig::defaults(),
-                              phys::LinkMapConfig{}, 99, &cache, &pool};
-    // Engine construction fetches the no-failure baseline through the
+    const Substrate cachedSubstrate =
+        defaultSubstrate(topo, cachedOptions(cache, pool));
+    const WhatIfEngine cached{cachedSubstrate};
+    // Substrate construction fetches the no-failure baseline through the
     // cache: exactly one miss so far.
     EXPECT_EQ(cache.stats().misses, 1U);
     EXPECT_EQ(cache.stats().hits, 0U);
@@ -130,9 +145,8 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     // A cacheless engine is the golden reference: cold, warm and
     // uncached assessments must agree to the bit (same seeds, same
     // routing states).
-    const WhatIfEngine plain{topo, phys::CableRegistry::africanDefaults(),
-                             dns::DnsConfig::defaults(),
-                             content::ContentConfig::defaults()};
+    const Substrate plainSubstrate = defaultSubstrate(topo);
+    const WhatIfEngine plain{plainSubstrate};
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const auto golden = plain.assess(plain.makeCutEvent(sweep[i]));
         expectSameImpactReport(golden, cold[i]);
@@ -145,11 +159,9 @@ TEST(WhatIfScenarioCache, ScenarioEnginesShareTheCache) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const WhatIfEngine baseline{topo,
-                                phys::CableRegistry::africanDefaults(),
-                                dns::DnsConfig::defaults(),
-                                content::ContentConfig::defaults(),
-                                phys::LinkMapConfig{}, 99, &cache, &pool};
+    const Substrate substrate =
+        defaultSubstrate(topo, cachedOptions(cache, pool));
+    const WhatIfEngine baseline{substrate};
     // A DNS-policy scenario shares topology and cable plant, so its cut
     // events produce the same link filters: its assessments ride the
     // baseline engine's cached oracles.

@@ -11,11 +11,15 @@ namespace {
 struct World {
     topo::Topology topo;
     route::PathOracle oracle;
+    Substrate substrate;
 
     World()
         : topo(topo::TopologyGenerator{topo::GeneratorConfig::defaults()}
                    .generate()),
-          oracle(topo) {}
+          oracle(topo),
+          substrate(topo, phys::CableRegistry::africanDefaults(),
+                    dns::DnsConfig::defaults(),
+                    content::ContentConfig::defaults()) {}
 };
 
 World& world() {
@@ -81,11 +85,7 @@ TEST(ConnectivityStudies, IxpPrevalenceShapeMatchesPaper) {
     }
 }
 
-WhatIfEngine makeEngine(World& w) {
-    return WhatIfEngine{w.topo, phys::CableRegistry::africanDefaults(),
-                        dns::DnsConfig::defaults(),
-                        content::ContentConfig::defaults()};
-}
+WhatIfEngine makeEngine(World& w) { return WhatIfEngine{w.substrate}; }
 
 TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
     auto& w = world();
@@ -158,6 +158,16 @@ TEST(WhatIfEngine, ContentLocalizationMovesTheLocalityNeedle) {
     const auto mandated = baseline.withContentConfig(localized);
     EXPECT_GT(mandated.contentLocalShare(),
               baseline.contentLocalShare() + 0.1);
+}
+
+// A derived engine re-derives a Substrate, so the changed layer is
+// validated like any other bundle before anything is scored.
+TEST(WhatIfEngine, DerivedEngineValidatesItsLayers) {
+    const auto baseline = makeEngine(world());
+    auto broken = dns::DnsConfig::defaults();
+    broken.africa[1].cloudOffshore += 0.5; // shares now sum to 1.5
+    EXPECT_THROW((void)baseline.withDnsConfig(broken),
+                 net::PreconditionError);
 }
 
 TEST(WhatIfEngine, CutEventValidation) {

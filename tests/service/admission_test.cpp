@@ -4,12 +4,14 @@
 
 #include "netbase/error.hpp"
 #include "obs/metrics.hpp"
+#include "service/workload.hpp"
 #include "service_test_util.hpp"
 
-// The admission ladder in isolation: typed rejections in documented
-// precedence order (unknown tenant, dead deadline, full queue, heavy
-// shed at the depth watermark, heavy shed at the byte watermark, budget)
-// and write-side metering through the tenant's TariffMeter.
+// The admission ladder in isolation, over the builtin workload registry:
+// typed rejections in documented precedence order (unknown tenant, dead
+// deadline, full queue, heavy shed at the depth watermark, heavy shed at
+// the byte watermark, budget) and write-side metering through the
+// tenant's TariffMeter.
 namespace aio::service {
 namespace {
 
@@ -43,7 +45,8 @@ TEST(AdmissionConfig, ValidateRejectsEachBadKnob) {
 }
 
 TEST(AdmissionController, LadderRejectsInDocumentedOrder) {
-    AdmissionController admission{smallConfig(), nullptr};
+    const auto registry = WorkloadRegistry::builtins(smallConfig());
+    AdmissionController admission{smallConfig(), registry, nullptr};
     admission.registerTenant(quotaFor("acme"));
     const auto query = queryRequest("acme", 0, 1);
     const auto heavy =
@@ -84,7 +87,8 @@ TEST(AdmissionController, LadderRejectsInDocumentedOrder) {
 TEST(AdmissionController, ZeroByteWatermarkDisablesMemoryShedding) {
     auto config = smallConfig();
     config.shedResidentBytes = 0;
-    AdmissionController admission{config, nullptr};
+    const auto registry = WorkloadRegistry::builtins(config);
+    AdmissionController admission{config, registry, nullptr};
     admission.registerTenant(quotaFor("acme"));
     const auto heavy = sweepRequest("acme", testutil::cableCuts({"ACE"}));
     EXPECT_TRUE(admission.decide(heavy, 0, 0, 1ULL << 40).admitted);
@@ -93,7 +97,8 @@ TEST(AdmissionController, ZeroByteWatermarkDisablesMemoryShedding) {
 TEST(AdmissionController, AdmissionChargesTheTenantMeter) {
     auto config = smallConfig();
     config.queryCostMb = 2.0; // flat default pricing: $0.01/MB
-    AdmissionController admission{config, nullptr};
+    const auto registry = WorkloadRegistry::builtins(config);
+    AdmissionController admission{config, registry, nullptr};
     admission.registerTenant(quotaFor("acme", /*budgetUsd=*/0.05));
 
     const auto query = queryRequest("acme", 0, 1);
@@ -119,7 +124,8 @@ TEST(AdmissionController, CostDefaultsPerKindWithCallerOverride) {
     config.queryCostMb = 0.25;
     config.whatIfCostMb = 1.0;
     config.sweepCostMbPerScenario = 2.0;
-    AdmissionController admission{config, nullptr};
+    const auto registry = WorkloadRegistry::builtins(config);
+    AdmissionController admission{config, registry, nullptr};
 
     EXPECT_DOUBLE_EQ(admission.costMbFor(queryRequest("t", 0, 1)), 0.25);
     EXPECT_DOUBLE_EQ(
@@ -137,7 +143,8 @@ TEST(AdmissionController, CostDefaultsPerKindWithCallerOverride) {
 }
 
 TEST(AdmissionController, RestoreConsumptionResumesSpend) {
-    AdmissionController admission{smallConfig(), nullptr};
+    const auto registry = WorkloadRegistry::builtins(smallConfig());
+    AdmissionController admission{smallConfig(), registry, nullptr};
     admission.registerTenant(quotaFor("acme"));
     admission.restoreConsumption("acme", 30.0, 0.0);
     EXPECT_DOUBLE_EQ(admission.spentUsd("acme"), 0.3);
@@ -147,7 +154,8 @@ TEST(AdmissionController, RestoreConsumptionResumesSpend) {
 
 TEST(AdmissionController, RejectionCountersAreTypedByReason) {
     obs::MetricsRegistry metrics;
-    AdmissionController admission{smallConfig(), &metrics};
+    const auto registry = WorkloadRegistry::builtins(smallConfig());
+    AdmissionController admission{smallConfig(), registry, &metrics};
     admission.registerTenant(quotaFor("acme"));
     (void)admission.decide(queryRequest("ghost", 0, 1), 0, 0, 0);
     (void)admission.decide(queryRequest("acme", 0, 1), 0, 4, 0);

@@ -57,6 +57,39 @@ TEST(ObservatoryService, QueryMatchesTheDirectBaselineOracle) {
     }
 }
 
+// Query endpoints are tenant input: an index past the serving
+// snapshot's AS count resolves Failed with a typed message, instead of
+// answering for an AS that does not exist or reading past the route
+// matrix.
+TEST(ObservatoryService, QueryOutsideTheSnapshotFailsTyped) {
+    const auto snapshot = tinySnapshot(31);
+    obs::ManualClock clock;
+    ObservatoryService service{snapshot, {}, &clock};
+    service.registerTenant(quotaFor("acme"));
+    const auto asCount =
+        static_cast<topo::AsIndex>(snapshot->topology().asCount());
+
+    std::vector<std::future<ServiceResponse>> futures;
+    futures.push_back(service.submit(queryRequest("acme", asCount, 0)));
+    futures.push_back(service.submit(queryRequest("acme", 0, asCount)));
+    futures.push_back(
+        service.submit(queryRequest("acme", asCount - 1, 0)));
+    ASSERT_EQ(service.drain(), 3u);
+
+    for (std::size_t i = 0; i < 2; ++i) {
+        const ServiceResponse response = futures[i].get();
+        EXPECT_EQ(response.status, ResponseStatus::Failed) << "request " << i;
+        EXPECT_EQ(response.nextHop, -1);
+        EXPECT_FALSE(response.reachable);
+        EXPECT_NE(response.error.find("precondition failed: query "
+                                      "endpoints"),
+                  std::string::npos)
+            << response.error;
+    }
+    // The last valid index still answers.
+    EXPECT_EQ(futures[2].get().status, ResponseStatus::Ok);
+}
+
 TEST(ObservatoryService, SweepMatchesTheDirectEngine) {
     const auto snapshot = tinySnapshot(31);
     obs::ManualClock clock;

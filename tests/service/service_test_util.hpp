@@ -71,7 +71,7 @@ inline ServiceRequest queryRequest(std::string tenant, topo::AsIndex src,
                                    topo::AsIndex dst) {
     ServiceRequest request;
     request.tenant = std::move(tenant);
-    request.kind = RequestKind::Query;
+    request.workload = "query";
     request.src = src;
     request.dst = dst;
     return request;
@@ -81,8 +81,7 @@ inline ServiceRequest sweepRequest(std::string tenant,
                                    std::vector<core::ScenarioSpec> specs) {
     ServiceRequest request;
     request.tenant = std::move(tenant);
-    request.kind = specs.size() == 1 ? RequestKind::WhatIf
-                                     : RequestKind::Sweep;
+    request.workload = specs.size() == 1 ? "whatif" : "sweep";
     request.scenarios = std::move(specs);
     return request;
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,17 +13,15 @@
 #include "service/service.hpp"
 #include "service_test_util.hpp"
 
-// The named-workload registry behind the service API: the legacy
-// RequestKind enum is a shim over the same registry (byte-identical
-// responses and ledger journals), cost defaults live on the workload
-// attribute so the admission estimate and the billed charge share one
-// seam, and the new plan/estimate workloads ride the same admission
-// ladder as the builtins.
+// The named-workload registry behind the service API: requests dispatch
+// by workload name, cost defaults live on the workload attribute so the
+// admission estimate and the billed charge share one seam (scenario
+// workloads bill per scenario they run), and the plan/estimate workloads
+// ride the same admission ladder as the query and sweep builtins.
 namespace aio::service {
 namespace {
 
 using testutil::cableCuts;
-using testutil::queryRequest;
 using testutil::quotaFor;
 using testutil::sweepRequest;
 using testutil::tinySnapshot;
@@ -69,7 +66,7 @@ TEST(WorkloadRegistry, BuiltinsCarryTheirAttributes) {
     // Cost resolution: explicit costMb wins; otherwise the attribute,
     // scaled per scenario for batch workloads.
     ServiceRequest request = sweepRequest("acme", cableCuts({"WACS"}));
-    request.kind = RequestKind::Sweep;
+    request.workload = "sweep";
     EXPECT_DOUBLE_EQ(registry.resolveCostMb(request),
                      config.sweepCostMbPerScenario);
     request.scenarios = cableCuts({"WACS", "SAT-3"});
@@ -77,66 +74,6 @@ TEST(WorkloadRegistry, BuiltinsCarryTheirAttributes) {
                      2.0 * config.sweepCostMbPerScenario);
     request.costMb = 9.5;
     EXPECT_DOUBLE_EQ(registry.resolveCostMb(request), 9.5);
-}
-
-TEST(ObservatoryService, NamedDispatchMatchesTheLegacyEnumByteForByte) {
-    const auto snapshot = tinySnapshot(31);
-    obs::ManualClock legacyClock;
-    obs::ManualClock namedClock;
-    persist::MemorySink legacyJournal;
-    persist::MemorySink namedJournal;
-    ObservatoryService legacy{snapshot, {}, &legacyClock, nullptr,
-                              &legacyJournal};
-    ObservatoryService named{snapshot, {}, &namedClock, nullptr,
-                             &namedJournal};
-    legacy.registerTenant(quotaFor("acme"));
-    named.registerTenant(quotaFor("acme"));
-
-    // Legacy side speaks the enum (workload empty); named side names the
-    // builtin and leaves the enum at its default to prove the name wins.
-    std::vector<ServiceRequest> viaEnum{
-        queryRequest("acme", 0, 1),
-        sweepRequest("acme", cableCuts({"WACS"})),
-        sweepRequest("acme", cableCuts({"WACS", "SAT-3"}))};
-    std::vector<ServiceRequest> viaName;
-    for (const char* workload : {"query", "whatif", "sweep"}) {
-        viaName.push_back(namedRequest(workload, "acme"));
-    }
-    viaName[0].src = 0;
-    viaName[0].dst = 1;
-    viaName[1].scenarios = cableCuts({"WACS"});
-    viaName[2].scenarios = cableCuts({"WACS", "SAT-3"});
-
-    for (std::size_t i = 0; i < viaEnum.size(); ++i) {
-        auto legacyFuture = legacy.submit(viaEnum[i]);
-        auto namedFuture = named.submit(viaName[i]);
-        ASSERT_EQ(legacy.drain(), 1u);
-        ASSERT_EQ(named.drain(), 1u);
-        const ServiceResponse a = legacyFuture.get();
-        const ServiceResponse b = namedFuture.get();
-        ASSERT_EQ(a.status, ResponseStatus::Ok) << "request " << i;
-        EXPECT_EQ(b.status, a.status) << "request " << i;
-        EXPECT_EQ(b.seq, a.seq);
-        EXPECT_EQ(b.nextHop, a.nextHop);
-        EXPECT_EQ(b.reachable, a.reachable);
-        EXPECT_DOUBLE_EQ(b.chargedUsd, a.chargedUsd);
-        ASSERT_EQ(a.sweep.has_value(), b.sweep.has_value());
-        if (a.sweep) {
-            ASSERT_EQ(b.sweep->scenarios.size(), a.sweep->scenarios.size());
-            for (std::size_t s = 0; s < a.sweep->scenarios.size(); ++s) {
-                EXPECT_EQ(b.sweep->scenarios[s].scenario,
-                          a.sweep->scenarios[s].scenario);
-            }
-        }
-    }
-
-    EXPECT_DOUBLE_EQ(named.admission().spentUsd("acme"),
-                     legacy.admission().spentUsd("acme"));
-    // The write-ahead ledgers agree byte for byte: the shim changed
-    // nothing about what gets charged or journaled.
-    const auto namedBytes = namedJournal.bytes();
-    const auto legacyBytes = legacyJournal.bytes();
-    EXPECT_TRUE(std::ranges::equal(namedBytes, legacyBytes));
 }
 
 // The write-ahead ledger's bytes after one request of each billing
@@ -209,6 +146,55 @@ TEST(ObservatoryService, EstimateAndBillingShareTheWorkloadCostSeam) {
     EXPECT_DOUBLE_EQ(it->second.peakMb + it->second.offPeakMb,
                      config.admission.estimateCostMb +
                          config.admission.planCostMb);
+}
+
+// A what-if runs every scenario in its request, so it pays for every
+// one: N scenarios bill N x whatIfCostMb (as a sweep bills N x
+// sweepCostMbPerScenario), and the ledger replays to exactly what the
+// responses were charged.
+TEST(ObservatoryService, WhatIfBillsEveryScenarioItRuns) {
+    const ServiceConfig config;
+    const auto snapshot = tinySnapshot(31);
+    obs::ManualClock clock;
+    persist::MemorySink journal;
+    ObservatoryService service{snapshot, config, &clock, nullptr,
+                               &journal};
+    const TenantQuota quota = quotaFor("acme");
+    service.registerTenant(quota);
+
+    double chargedUsd = 0.0;
+    double billedMb = 0.0;
+    for (const auto& scenarios :
+         {cableCuts({"WACS"}), cableCuts({"WACS", "SEACOM", "ACE"}),
+          cableCuts({"WACS", "SEACOM", "ACE", "EASSy", "SAT-3",
+                     "MainOne"})}) {
+        ServiceRequest request = namedRequest("whatif", "acme");
+        request.scenarios = scenarios;
+        const double mb = config.admission.whatIfCostMb *
+                          static_cast<double>(scenarios.size());
+        EXPECT_DOUBLE_EQ(service.admission().costMbFor(request), mb);
+
+        auto future = service.submit(request);
+        ASSERT_EQ(service.drain(), 1u);
+        const ServiceResponse response = future.get();
+        ASSERT_EQ(response.status, ResponseStatus::Ok) << response.error;
+        ASSERT_TRUE(response.sweep.has_value());
+        EXPECT_EQ(response.sweep->scenarios.size(), scenarios.size());
+        EXPECT_DOUBLE_EQ(response.chargedUsd,
+                         quota.pricing.costUsd(mb, false));
+        chargedUsd += response.chargedUsd;
+        billedMb += mb;
+    }
+
+    const auto replayed = TenantLedger::replay(journal.bytes());
+    const auto it = replayed.tenants.find("acme");
+    ASSERT_NE(it, replayed.tenants.end());
+    EXPECT_EQ(it->second.charges, 3u);
+    EXPECT_DOUBLE_EQ(it->second.peakMb + it->second.offPeakMb, billedMb);
+    EXPECT_DOUBLE_EQ(quota.pricing.costUsd(it->second.peakMb, false) +
+                         quota.pricing.costUsd(it->second.offPeakMb, true),
+                     chargedUsd);
+    EXPECT_DOUBLE_EQ(service.admission().spentUsd("acme"), chargedUsd);
 }
 
 TEST(ObservatoryService, UnknownWorkloadIsATypedReject) {

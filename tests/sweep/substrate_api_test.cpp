@@ -1,7 +1,7 @@
-// Locks the Substrate API migration: every entry point that grew a
-// Substrate/ScenarioSpec spelling must produce byte-identical results
-// through the old constructor and the new one, and the fallible entry
-// points must return errors as values with the right Error kind.
+// The Substrate and ScenarioSpec entry points: a bad bundle or a bad
+// spec fails as a value with the right Error kind (and throws from the
+// throwing spellings), cut events resolve cable names as values, and a
+// Substrate's derived layers stay valid through moves.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,6 @@
 
 #include "core/whatif.hpp"
 #include "netbase/error.hpp"
-#include "resilience/supervisor.hpp"
-#include "routing/path_oracle.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
 
@@ -45,125 +43,11 @@ World& world() {
     return w;
 }
 
-core::Substrate makeSubstrate(core::Substrate::Options options = {}) {
+core::Substrate makeSubstrate() {
     return core::Substrate{world().topo,
                            phys::CableRegistry::africanDefaults(),
                            dns::DnsConfig::defaults(),
-                           content::ContentConfig::defaults(), options};
-}
-
-TEST(ApiMigration, WhatIfEngineLegacyAndSubstrateAreByteIdentical) {
-    const auto substrate = makeSubstrate();
-    const core::WhatIfEngine fromSubstrate{substrate};
-    const core::WhatIfEngine legacy{
-        world().topo, phys::CableRegistry::africanDefaults(),
-        dns::DnsConfig::defaults(), content::ContentConfig::defaults()};
-
-    const std::vector<std::string> cables = {"WACS", "MainOne", "ACE"};
-    const auto event = legacy.makeCutEvent(cables);
-    EXPECT_TRUE(event == fromSubstrate.makeCutEvent(cables));
-    EXPECT_TRUE(legacy.assess(event) == fromSubstrate.assess(event));
-    EXPECT_DOUBLE_EQ(legacy.contentLocalShare(),
-                     fromSubstrate.contentLocalShare());
-    EXPECT_DOUBLE_EQ(legacy.dnsFailureShare("GH", event),
-                     fromSubstrate.dnsFailureShare("GH", event));
-
-    // Derived (scenario) engines rebuild their layers; both spellings
-    // must still agree.
-    phys::SubseaCable extra;
-    extra.name = "MigrationTest";
-    for (const auto code : {"PT", "GH", "NG"}) {
-        extra.landings.push_back(phys::LandingStation{
-            std::string{code},
-            net::CountryTable::world().byCode(code).centroid});
-    }
-    const auto legacyDerived = legacy.withCable(extra);
-    const auto substrateDerived = fromSubstrate.withCable(extra);
-    EXPECT_TRUE(legacyDerived.assess(event) ==
-                substrateDerived.assess(event));
-}
-
-TEST(ApiMigration, ImpactAnalyzerFromSubstrateMatchesHandAssembled) {
-    const auto substrate = makeSubstrate();
-
-    // The legacy spelling: every layer derived by hand, seeds matching
-    // what Substrate does internally.
-    const auto registry = phys::CableRegistry::africanDefaults();
-    net::Rng mapRng{99};
-    const phys::PhysicalLinkMap linkMap{world().topo, registry, mapRng,
-                                        phys::LinkMapConfig{}};
-    const dns::ResolverEcosystem resolvers{world().topo,
-                                           dns::DnsConfig::defaults(), 100};
-    const content::ContentCatalog catalog{
-        world().topo, content::ContentConfig::defaults(), 101};
-    const outage::ImpactAnalyzer legacy{world().topo, linkMap, resolvers,
-                                        catalog};
-
-    const outage::ImpactAnalyzer fromSubstrate = substrate.impactAnalyzer();
-
-    const core::WhatIfEngine engine{substrate};
-    const std::vector<std::string> cables = {"SEACOM", "EASSy"};
-    const auto event = engine.makeCutEvent(cables);
-    net::Rng rngA{106};
-    net::Rng rngB{106};
-    EXPECT_TRUE(legacy.assess(event, rngA) ==
-                fromSubstrate.assess(event, rngB));
-}
-
-TEST(ApiMigration, SupervisorSubstrateCtorMatchesLegacy) {
-    auto& w = world();
-    const route::PathOracle oracle{w.topo};
-    const measure::TracerouteEngine engine{w.topo, oracle};
-    const measure::IxpDetector detector{
-        w.topo, measure::IxpKnowledgeBase::full(w.topo)};
-    core::ProbeFleet fleet;
-    int serial = 0;
-    for (const char* iso2 : {"RW", "KE", "NG", "ZA"}) {
-        const auto ases = w.topo.asesInCountry(iso2);
-        for (std::size_t i = 0; i < 2 && i < ases.size(); ++i) {
-            core::Probe probe;
-            probe.id = "m-" + std::string{iso2} + std::to_string(++serial);
-            probe.hostAs = ases[i];
-            probe.countryCode = iso2;
-            probe.availability = 0.9;
-            probe.monthlyBudgetUsd = 50.0;
-            probe.pricing.kind = core::PricingModel::Kind::FlatPerMb;
-            probe.pricing.perMbUsd = 0.01;
-            fleet.add(probe);
-        }
-    }
-    const core::Observatory observatory{w.topo, engine, detector,
-                                        std::move(fleet)};
-
-    exec::WorkerPool pool{2};
-    route::OracleCache cache{w.topo, 8, &pool};
-    core::Substrate::Options options;
-    options.oracleCache = &cache;
-    options.pool = &pool;
-    const auto substrate = makeSubstrate(options);
-
-    const resilience::CampaignSupervisor legacy{observatory};
-    const resilience::CampaignSupervisor fromSubstrate{observatory,
-                                                       substrate};
-
-    net::Rng planRng{5};
-    const auto tasks = observatory.ixpDiscoveryTasks(planRng);
-    route::LinkFilter scenario;
-    int cut = 0;
-    for (const auto& link : w.topo.links()) {
-        if (++cut % 17 == 0) {
-            scenario.disableLink(link.a, link.b);
-        }
-    }
-    EXPECT_DOUBLE_EQ(
-        legacy.routableTaskShare(tasks, scenario, cache),
-        fromSubstrate.routableTaskShare(tasks, scenario));
-
-    // Both spellings must run campaigns identically.
-    net::Rng rngA{9};
-    net::Rng rngB{9};
-    EXPECT_TRUE(legacy.runFaultFreeOracle(rngA) ==
-                fromSubstrate.runFaultFreeOracle(rngB));
+                           content::ContentConfig::defaults()};
 }
 
 TEST(ApiMigration, SubstrateValidationFailsAsValues) {
