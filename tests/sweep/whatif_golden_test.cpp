@@ -1,11 +1,13 @@
-// Golden outputs for the what-if derivation chain and the sweep's overlay
-// lane. The other what-if suites compare one path with another (an
-// engine against a sweep, a cached engine against an uncached one), so a
-// rewrite that moved both sides in lockstep would pass them all. These
-// values were recorded from the reference implementation and pin the
-// absolute output: impact-report digests, content locality and Ghana's
-// DNS failure share from a base engine and from every derived engine,
-// and the per-scenario reports and aggregates of an overlay-only sweep.
+// Golden outputs for the what-if derivation chain and the sweep's plain
+// and overlay lanes. The other what-if suites compare one path with
+// another (an engine against a sweep, a cached engine against an
+// uncached one, one recompute mode against the other), so a rewrite that
+// moved both sides in lockstep would pass them all. These values were
+// recorded from the reference implementation and pin the absolute
+// output: impact-report digests, content locality and Ghana's DNS
+// failure share from a base engine and from every derived engine, and
+// the per-scenario reports, aggregates and batch statistics of a
+// plain-scenario sweep (dense and sharded) and an overlay-only sweep.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 #include <vector>
 
 #include "core/whatif.hpp"
+#include "exec/worker_pool.hpp"
 #include "persist/bytes.hpp"
+#include "routing/oracle_cache.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
 
@@ -103,6 +107,26 @@ void fold(persist::ByteWriter& out, const outage::ImpactReport& report) {
         out.f64(impact.dnsFailureShare);
         out.f64(impact.effectiveOutageDays);
     }
+}
+
+/// fnv1a64 over every scenario's name, report and aggregates, in batch
+/// order.
+std::uint64_t sweepDigest(const SweepResult& result) {
+    persist::ByteWriter out;
+    for (const ScenarioResult& scenario : result.scenarios) {
+        EXPECT_TRUE(scenario.outcome.hasValue()) << scenario.scenario;
+        EXPECT_TRUE(scenario.aggregates.has_value()) << scenario.scenario;
+        if (!scenario.outcome.hasValue() || !scenario.aggregates) {
+            continue;
+        }
+        out.str(scenario.scenario);
+        fold(out, scenario.outcome.value());
+        out.f64(scenario.aggregates->meanPageLoadLoss);
+        out.f64(scenario.aggregates->resolutionDays);
+        out.f64(scenario.aggregates->detourShare);
+        out.f64(scenario.aggregates->contentLocalShare);
+    }
+    return persist::fnv1a64(out.bytes());
 }
 
 struct EngineOutputs {
@@ -200,20 +224,88 @@ TEST(WhatIfGolden, OverlaySweepWithAggregates) {
         std::vector<core::ScenarioSpec>{buildOut, addedCut, linkCut});
     ASSERT_EQ(result.scenarios.size(), 3u);
     EXPECT_EQ(result.stats.overlayScenarios, 3u);
-
-    persist::ByteWriter out;
-    for (const ScenarioResult& scenario : result.scenarios) {
-        ASSERT_TRUE(scenario.outcome.hasValue()) << scenario.scenario;
-        ASSERT_TRUE(scenario.aggregates.has_value()) << scenario.scenario;
-        out.str(scenario.scenario);
-        fold(out, scenario.outcome.value());
-        out.f64(scenario.aggregates->meanPageLoadLoss);
-        out.f64(scenario.aggregates->resolutionDays);
-        out.f64(scenario.aggregates->detourShare);
-        out.f64(scenario.aggregates->contentLocalShare);
-    }
-    const std::uint64_t digest = persist::fnv1a64(out.bytes());
+    const std::uint64_t digest = sweepDigest(result);
     EXPECT_EQ(digest, 0xcd89508bd96cbe4cULL) << std::hex << "0x" << digest;
+}
+
+/// Overlay-free scenarios: single-cable cuts, the four-cable west
+/// corridor, the same cut sets again (repeated, permuted, duplicated)
+/// and one power outage over two countries.
+std::vector<core::ScenarioSpec> plainBatch() {
+    std::vector<core::ScenarioSpec> specs;
+    const auto cut = [&specs](std::string name,
+                              std::vector<std::string> cables,
+                              double repairDays) {
+        core::ScenarioSpec spec;
+        spec.name = std::move(name);
+        spec.cutCables = std::move(cables);
+        spec.repairDays = repairDays;
+        specs.push_back(std::move(spec));
+    };
+    cut("wacs", {"WACS"}, 14.0);
+    cut("seacom", {"SEACOM"}, 21.0);
+    cut("eassy", {"EASSy"}, 30.0);
+    cut("2africa", {"2Africa"}, 21.0);
+    cut("west-corridor", {"WACS", "MainOne", "SAT-3", "ACE"}, 21.0);
+    cut("wacs-again", {"WACS"}, 30.0);
+    cut("west-corridor-permuted", {"ACE", "SAT-3", "WACS", "MainOne", "ACE"},
+        14.0);
+    cut("seacom-eassy", {"SEACOM", "EASSy"}, 21.0);
+    cut("eassy-seacom", {"EASSy", "SEACOM"}, 21.0);
+
+    core::ScenarioSpec power;
+    power.name = "power-ng-gh";
+    power.eventType = outage::OutageType::PowerOutage;
+    power.countries = {"NG", "GH"};
+    power.repairDays = 3.0;
+    specs.push_back(std::move(power));
+    return specs;
+}
+
+struct PlainSweepPin {
+    std::uint64_t digest = 0;
+    std::size_t scenarios = 0;
+    std::size_t dedupHits = 0;
+    std::size_t incrementalBuilds = 0;
+    std::size_t errors = 0;
+};
+
+void expectPlainSweep(const core::Substrate& substrate,
+                      const PlainSweepPin& golden) {
+    SweepOptions options;
+    options.scenarioAggregates = true;
+    const SweepResult result =
+        ScenarioSweepEngine{substrate, options}.run(plainBatch());
+    EXPECT_EQ(result.stats.overlayScenarios, 0u);
+    const std::uint64_t digest = sweepDigest(result);
+    EXPECT_EQ(digest, golden.digest) << std::hex << "0x" << digest;
+    EXPECT_EQ(result.stats.scenarios, golden.scenarios);
+    EXPECT_EQ(result.stats.dedupHits, golden.dedupHits);
+    EXPECT_EQ(result.stats.incrementalBuilds, golden.incrementalBuilds);
+    EXPECT_EQ(result.stats.errors, golden.errors);
+}
+
+TEST(WhatIfGolden, PlainCutSweepDense) {
+    exec::WorkerPool pool{2};
+    route::OracleCache cache{world(), 64, &pool};
+    core::Substrate::Options options;
+    options.pool = &pool;
+    options.oracleCache = &cache;
+    const core::Substrate substrate{
+        world(), phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+        options};
+    expectPlainSweep(substrate, {0x0012829a4dfb1d9dULL, 10, 3, 7, 0});
+}
+
+TEST(WhatIfGolden, PlainCutSweepSharded) {
+    core::Substrate::Options options;
+    options.impact.routeStorage = route::StoragePolicy::Sharded;
+    const core::Substrate substrate{
+        world(), phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+        options};
+    expectPlainSweep(substrate, {0x0012829a4dfb1d9dULL, 10, 3, 7, 0});
 }
 
 } // namespace
