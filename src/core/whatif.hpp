@@ -22,8 +22,8 @@ namespace aio::core {
 /// return an engine that owns a Substrate re-derived with the changed
 /// layer — same topology, seed and accelerators — so before/after
 /// differences isolate the intervention. For evaluating scenarios in
-/// bulk, prefer `sweep::ScenarioSweepEngine`, which adds incremental
-/// route recomputation and cut-set dedupe on top of the same substrate.
+/// bulk, prefer `sweep::ScenarioSweepEngine`, which adds cut-set dedupe
+/// and pool-parallel scheduling on top of the same substrate.
 class WhatIfEngine {
 public:
     /// `substrate` must outlive the engine and every engine derived from

@@ -25,7 +25,7 @@ struct CountryImpact {
     double effectiveOutageDays = 0.0;
 
     /// Exact (bitwise on doubles) equality — the differential harnesses
-    /// compare incremental vs full recompute reports with ==.
+    /// compare swept vs per-scenario recompute reports with ==.
     [[nodiscard]] bool operator==(const CountryImpact&) const = default;
 };
 
@@ -97,7 +97,7 @@ public:
     /// Impact assessment against a caller-supplied degraded routing
     /// state. This is the scenario sweep's scoring path: the sweep
     /// derives the filter itself (ImpactAnalyzer::filterFor), obtains the
-    /// oracle incrementally / deduped, then scores here. Byte-identical
+    /// oracle deduped / cached, then scores here. Byte-identical
     /// to assess() provided `rng` was advanced through filterFor exactly
     /// as assess() would (cable-cut filters draw nothing, so for cut
     /// events any fresh rng at the same state matches) and `degraded`
@@ -107,8 +107,7 @@ public:
                      const route::RouteOracle& degraded,
                      net::Rng& rng) const;
 
-    /// The shared no-failure routing state this analyzer scores against
-    /// (also the natural baseline for incremental scenario recomputes).
+    /// The shared no-failure routing state this analyzer scores against.
     [[nodiscard]] const std::shared_ptr<const route::RouteOracle>&
     baselineOracle() const {
         return baselineOracle_;

@@ -52,7 +52,7 @@ struct OracleCacheConfig {
 
 /// Capacity-bounded LRU cache of failure-scenario route oracles for one
 /// topology, keyed by the canonical LinkFilter digest. A what-if sweep,
-/// the outage impact analyzer and the campaign supervisor all re-derive
+/// the outage impact analyzer and the campaign supervisor all rebuild
 /// the same degraded routing states (same cut set => same filter => same
 /// digest); caching the recomputed oracle turns a per-query rebuild into
 /// a lookup. Entries are shared_ptr so a scenario keeps its oracle alive
@@ -80,10 +80,10 @@ public:
 
     /// Lookup without the miss-path build: returns the cached oracle (a
     /// hit, refreshing LRU order) or nullptr (a miss — counted, but
-    /// nothing is constructed). The scenario sweep uses peek + seed so it
-    /// can build misses *incrementally* from the baseline instead of
-    /// paying the cache's from-scratch rebuild, and so it never nests a
-    /// pool-parallel build inside a worker lane.
+    /// nothing is constructed). The scenario sweep uses peek + seed so
+    /// its misses build across its own pool lanes, one sequential build
+    /// per lane, and never nest the cache's pool-parallel miss-path build
+    /// inside a worker lane.
     [[nodiscard]] std::shared_ptr<const RouteOracle>
     peek(const LinkFilter& filter);
 

@@ -43,90 +43,8 @@ PathOracle::PathOracle(const topo::Topology& topology,
     build(filter, &pool);
 }
 
-PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-                       exec::WorkerPool* pool)
-    : PathOracle(baseline, filter,
-                 baseline.dirtyDestinations(filter), pool) {}
-
-PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-                       std::span<const topo::AsIndex> dirty,
-                       exec::WorkerPool* pool)
-    : RouteOracle(*baseline.topo_) {
-    AIO_EXPECTS(baseline.unfiltered_,
-                "incremental baseline must be an unfiltered oracle");
-    unfiltered_ = filter.empty();
-    resolvedDirty_ = dirty.size();
-    nextHop_ = baseline.nextHop_;
-    klass_ = baseline.klass_;
-    const kernel::CompiledFilter compiled{filter, n_};
-    const auto resolve = [&](topo::AsIndex dst,
-                             kernel::DestScratch& scratch) {
-        // The kernel assumes a cleared slab (it writes only the nodes it
-        // reaches), so reset the copied baseline rows first.
-        std::fill_n(nextHop_.begin() +
-                        static_cast<std::ptrdiff_t>(dst * n_),
-                    n_, -1);
-        std::fill_n(klass_.begin() + static_cast<std::ptrdiff_t>(dst * n_),
-                    n_, static_cast<std::uint8_t>(RouteClass::None));
-        kernel::solveDestination(*topo_, compiled, dst, &nextHop_[dst * n_],
-                                 &klass_[dst * n_], scratch);
-    };
-
-    if (pool == nullptr) {
-        kernel::DestScratch scratch;
-        scratch.prepare(n_);
-        for (const topo::AsIndex dst : dirty) {
-            resolve(dst, scratch);
-        }
-        return;
-    }
-    const auto lanes = static_cast<std::size_t>(pool->threadCount());
-    std::vector<kernel::DestScratch> scratch(lanes);
-    for (auto& s : scratch) {
-        s.prepare(n_);
-    }
-    pool->parallelFor(dirty.size(), [&](std::size_t i, std::size_t lane) {
-        resolve(dirty[i], scratch[lane]);
-    });
-}
-
-std::vector<topo::AsIndex>
-PathOracle::dirtyDestinations(const LinkFilter& filter) const {
-    AIO_EXPECTS(unfiltered_,
-                "dirty-set extraction needs an unfiltered baseline");
-    std::vector<topo::AsIndex> dirty;
-    if (filter.empty()) {
-        return dirty;
-    }
-    if (filter.disabledAsCount() > 0) {
-        // A disabled AS changes its source row in every slab, so every
-        // destination is dirty — fall back to the full destination list.
-        dirty.resize(n_);
-        for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-            dirty[dst] = dst;
-        }
-        return dirty;
-    }
-    const auto failed = filter.disabledLinks();
-    for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-        const std::int32_t* next = &nextHop_[dst * n_];
-        for (const auto& [a, b] : failed) {
-            if (a >= n_ || b >= n_) {
-                continue; // not a topology adjacency; cannot carry routes
-            }
-            if (next[a] == static_cast<std::int32_t>(b) ||
-                next[b] == static_cast<std::int32_t>(a)) {
-                dirty.push_back(dst);
-                break;
-            }
-        }
-    }
-    return dirty;
-}
-
 void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
     AIO_EXPECTS(topo_->finalized(), "topology must be finalized");
-    unfiltered_ = filter.empty();
     nextHop_.assign(n_ * n_, -1);
     klass_.assign(n_ * n_, static_cast<std::uint8_t>(RouteClass::None));
     const kernel::CompiledFilter compiled{filter, n_};
@@ -165,12 +83,6 @@ RouteClass PathOracle::routeClass(topo::AsIndex src,
                                   topo::AsIndex dst) const {
     AIO_EXPECTS(src < n_ && dst < n_, "AS index OOB");
     return static_cast<RouteClass>(klass_[dst * n_ + src]);
-}
-
-std::shared_ptr<const RouteOracle>
-PathOracle::deriveFiltered(const LinkFilter& filter,
-                           exec::WorkerPool* pool) const {
-    return std::make_shared<const PathOracle>(*this, filter, pool);
 }
 
 bool isValleyFree(const topo::Topology& topology,

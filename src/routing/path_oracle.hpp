@@ -58,45 +58,6 @@ public:
                exec::WorkerPool& pool,
                std::size_t memoryCeilingBytes = kDefaultDenseCeilingBytes);
 
-    /// Incremental derivation from an unfiltered baseline: copies the
-    /// baseline matrices and re-solves only the destinations
-    /// dirtyDestinations(filter) reports, so a small cut set costs
-    /// O(dirty * (V + E)) instead of O(V * (V + E)). Byte-identical to a
-    /// from-scratch build with the same filter (the clean slabs are
-    /// provably unchanged — see dirtyDestinations); the sweep
-    /// differential harness locks the equality in. `pool` (optional)
-    /// shards the dirty re-solve; pass nullptr when already running
-    /// inside a pool lane (parallelFor is not reentrant).
-    ///
-    /// Throws net::PreconditionError when `baseline` was itself built
-    /// with a non-empty filter.
-    PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-               exec::WorkerPool* pool = nullptr);
-
-    /// Incremental derivation with the dirty set already extracted:
-    /// `dirty` must be exactly what `baseline.dirtyDestinations(filter)`
-    /// returns. Lets a caller that needs the set anyway (the sweep
-    /// engine reports |dirty| in its stats) scan the next-hop forest
-    /// once instead of twice; the two-argument overload above delegates
-    /// here.
-    PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-               std::span<const topo::AsIndex> dirty,
-               exec::WorkerPool* pool = nullptr);
-
-    /// Destinations whose route slab can change under `filter`, read off
-    /// this (unfiltered) oracle's next-hop forest: destination d is dirty
-    /// iff d itself is disabled, or some failed link (a,b) is on d's
-    /// selected route forest (nextHop[d][a] == b or nextHop[d][b] == a).
-    /// Any AS-disabling filter dirties every destination (a disabled AS
-    /// invalidates its source row in every slab), so those return the
-    /// full destination list. Ascending order; exact, not conservative:
-    /// clean destinations keep byte-identical slabs because removing
-    /// links that carry no selected route shrinks only the unselected
-    /// candidate set, and every tie-break (class, then distance, then
-    /// lowest next-hop ASN) still picks the surviving incumbent.
-    [[nodiscard]] std::vector<topo::AsIndex>
-    dirtyDestinations(const LinkFilter& filter) const;
-
     // ---- RouteOracle surface ----
 
     [[nodiscard]] std::int32_t nextHopOf(topo::AsIndex src,
@@ -118,15 +79,7 @@ public:
         return StoragePolicy::Dense;
     }
 
-    [[nodiscard]] bool unfiltered() const override { return unfiltered_; }
-
-    [[nodiscard]] std::shared_ptr<const RouteOracle>
-    deriveFiltered(const LinkFilter& filter,
-                   exec::WorkerPool* pool = nullptr) const override;
-
-    [[nodiscard]] std::size_t resolvedDirtyDestinations() const override {
-        return resolvedDirty_;
-    }
+    [[nodiscard]] std::size_t solvedRows() const override { return n_; }
 
     /// Raw matrices ([dst * asCount + src] layout) for differential tests
     /// and digests; -1 next hop / RouteClass::None mark "no route".
@@ -140,9 +93,6 @@ public:
 private:
     void build(const LinkFilter& filter, exec::WorkerPool* pool);
 
-    bool unfiltered_ = false; ///< built with an empty filter (valid
-                              ///< incremental baseline)
-    std::size_t resolvedDirty_ = 0; ///< |dirty| of an incremental build
     std::vector<std::int32_t> nextHop_;  ///< [dst*n + src], -1 = none
     std::vector<std::uint8_t> klass_;    ///< RouteClass per (dst,src)
 };

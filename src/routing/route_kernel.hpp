@@ -19,7 +19,7 @@ namespace aio::route::kernel {
 /// test whose endpoints are not both flagged; only the rest probe the
 /// exact link set, by binary search over its sorted keys. Entries naming
 /// an AS index >= asCount cannot touch a route and are dropped. Compile
-/// once per oracle build or derive; immutable afterwards.
+/// once per oracle build; immutable afterwards.
 class CompiledFilter {
 public:
     CompiledFilter(const LinkFilter& filter, std::size_t asCount);

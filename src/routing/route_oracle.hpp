@@ -2,16 +2,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "topo/as_graph.hpp"
-
-namespace aio::exec {
-class WorkerPool;
-} // namespace aio::exec
 
 namespace aio::route {
 
@@ -108,7 +104,7 @@ enum class StoragePolicy {
 /// Thread-safety: all query methods are safe to call concurrently
 /// (PathOracle is immutable after construction; ShardedOracle serializes
 /// its lazy row materialization internally).
-class RouteOracle : public std::enable_shared_from_this<RouteOracle> {
+class RouteOracle {
 public:
     virtual ~RouteOracle() = default;
 
@@ -129,32 +125,12 @@ public:
 
     [[nodiscard]] virtual StoragePolicy storagePolicy() const = 0;
 
-    /// True when built with an empty filter (a valid incremental
-    /// baseline for deriveFiltered).
-    [[nodiscard]] virtual bool unfiltered() const = 0;
-
-    /// Derives the degraded oracle for `filter` from this (unfiltered)
-    /// baseline, re-solving only destinations the filter can dirty —
-    /// the storage-policy-neutral spelling of the PR-5 incremental
-    /// rebuild. Dense re-solves its dirty set eagerly; sharded defers
-    /// per-row dirty classification to first touch and delegates clean
-    /// rows to the baseline (which therefore must be shared-owned and is
-    /// kept alive by the derived oracle). Byte-identical to a
-    /// from-scratch build with the same filter under either policy.
-    /// `pool` (optional) shards an eager re-solve; pass nullptr when
-    /// already running inside a pool lane (parallelFor is not
-    /// reentrant). Throws net::PreconditionError when this oracle was
-    /// itself built with a non-empty filter.
-    [[nodiscard]] virtual std::shared_ptr<const RouteOracle>
-    deriveFiltered(const LinkFilter& filter,
-                   exec::WorkerPool* pool = nullptr) const = 0;
-
-    /// Destinations this (derived) oracle has re-solved against its
-    /// baseline so far — the sweep's |dirty| statistic. Eager (dense)
-    /// derivations report their full dirty set immediately; lazy
-    /// (sharded) derivations count rows as they materialize. 0 for
-    /// non-derived oracles.
-    [[nodiscard]] virtual std::size_t resolvedDirtyDestinations() const = 0;
+    /// Destination rows this oracle has solved so far, each counted
+    /// once — the sweep's solved-rows statistic. Dense oracles solve
+    /// every row at construction and report asCount(); sharded ones
+    /// count rows as queries first materialize them (a row re-solved
+    /// after its shard was evicted is not counted again).
+    [[nodiscard]] virtual std::size_t solvedRows() const = 0;
 
     // ---- storage-independent queries (built on nextHopOf/routeClass) ----
 

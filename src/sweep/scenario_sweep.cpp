@@ -95,7 +95,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
     const outage::ImpactAnalyzer& analyzer = substrate_->analyzer();
     exec::WorkerPool* pool = substrate_->pool();
     route::OracleCache* cache = substrate_->oracleCache();
-    const bool incremental = options_.mode == RecomputeMode::Incremental;
+    const bool dedupe = options_.mode == RecomputeMode::Incremental;
 
     // Checked at every phase boundary (and inside forEach); a fired
     // token surfaces as net::CancelledError before any result assembly.
@@ -105,6 +105,16 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }
     };
     checkpoint();
+
+    // Every degraded routing state is a from-scratch build under the
+    // substrate's storage policy. pool=nullptr: builds run inside pool
+    // lanes, and parallelFor is not reentrant.
+    const auto buildDegraded = [&](const route::LinkFilter& filter) {
+        return route::buildOracle(substrate_->topology(),
+                                  substrate_->storagePolicy(), filter,
+                                  nullptr,
+                                  substrate_->impactConfig().shardedRouting);
+    };
 
     const auto startedAt = std::chrono::steady_clock::now();
     SweepResult result;
@@ -158,7 +168,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             net::Rng rng{substrate_->seed() + 7};
             route::LinkFilter filter = analyzer.filterFor(job.event, rng);
             job.rng = rng;
-            if (incremental) {
+            if (dedupe) {
                 const route::FilterDigest digest = filter.digest();
                 if (const auto it = oracleByDigest.find(digest);
                     it != oracleByDigest.end()) {
@@ -182,7 +192,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
     {
         checkpoint();
         const obs::Span buildSpan = obs::Trace::enter(trace, "build");
-        if (cache != nullptr && incremental) {
+        if (cache != nullptr && dedupe) {
             // Cache lookups stay on the coordinating thread: a peek never
             // builds, so this is cheap, and it keeps lane work lock-free.
             for (OracleJob& job : oracles) {
@@ -193,8 +203,6 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 }
             }
         }
-        const std::shared_ptr<const route::RouteOracle>& baseline =
-            analyzer.baselineOracle();
         forEach(pool, oracles.size(), [&](std::size_t j) {
             OracleJob& job = oracles[j];
             if (job.oracle != nullptr) {
@@ -202,32 +210,19 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             }
             const obs::ScopedTimer buildTimer{metrics,
                                               "sweep.build_seconds"};
-            if (incremental) {
-                // Storage-policy neutral incremental rebuild: dense
-                // re-solves its dirty set eagerly here; sharded defers
-                // per-row work to the scoring queries. pool=nullptr —
-                // this may already be inside a pool lane, and
-                // parallelFor is not reentrant.
-                job.oracle = baseline->deriveFiltered(job.filter, nullptr);
-            } else {
-                job.oracle = route::buildOracle(
-                    substrate_->topology(),
-                    substrate_->impactConfig().routeStorage, job.filter,
-                    nullptr,
-                    substrate_->impactConfig().shardedRouting);
-            }
+            job.oracle = buildDegraded(job.filter);
         }, options_.cancel);
         for (const OracleJob& job : oracles) {
             if (job.fromCache) {
                 continue;
             }
-            if (incremental) {
+            if (dedupe) {
                 ++result.stats.incrementalBuilds;
             } else {
                 ++result.stats.fullBuilds;
             }
         }
-        if (cache != nullptr && incremental) {
+        if (cache != nullptr && dedupe) {
             for (const OracleJob& job : oracles) {
                 if (!job.fromCache) {
                     cache->seed(job.filter, job.oracle);
@@ -281,16 +276,13 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }
     }
 
-    // Dirty-destination accounting happens *after* scoring: a dense
-    // incremental oracle resolved its whole dirty set at build time, but
-    // a sharded one resolves rows lazily as scoring queries touch them —
-    // reading the counter here reports what the batch actually paid.
-    if (incremental) {
-        for (const OracleJob& job : oracles) {
-            if (!job.fromCache) {
-                result.stats.dirtyDestinations +=
-                    job.oracle->resolvedDirtyDestinations();
-            }
+    // Solved rows are read *after* scoring: a dense build solved every
+    // row at construction, but a sharded one solves rows lazily as
+    // scoring queries touch them — reading here reports what the batch
+    // actually paid.
+    for (const OracleJob& job : oracles) {
+        if (!job.fromCache) {
+            result.stats.dirtyDestinations += job.oracle->solvedRows();
         }
     }
 
@@ -333,28 +325,17 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 return;
             }
             // Mirror WhatIfEngine::assess draw for draw — a fresh seed+7
-            // stream advanced through filterFor, then scoring — but
-            // resolve the degraded oracle incrementally from the
-            // overlay's baseline (oracle content depends only on
-            // topology + filter, so results are byte-identical to a
-            // from-scratch build).
+            // stream advanced through filterFor, then scoring against the
+            // overlay's baseline when nothing fails, else against a build
+            // for the filter.
             const outage::ImpactAnalyzer& overlayAnalyzer =
                 overlaySubstrate.analyzer();
             net::Rng rng{substrate_->seed() + 7};
             const route::LinkFilter filter =
                 overlayAnalyzer.filterFor(*event, rng);
-            std::shared_ptr<const route::RouteOracle> degraded;
-            if (filter.empty()) {
-                degraded = overlayAnalyzer.baselineOracle();
-            } else if (incremental) {
-                degraded = overlayAnalyzer.baselineOracle()->deriveFiltered(
-                    filter, nullptr);
-            } else {
-                degraded = route::buildOracle(
-                    substrate_->topology(),
-                    substrate_->impactConfig().routeStorage, filter, nullptr,
-                    substrate_->impactConfig().shardedRouting);
-            }
+            const std::shared_ptr<const route::RouteOracle> degraded =
+                filter.empty() ? overlayAnalyzer.baselineOracle()
+                               : buildDegraded(filter);
             slots[slot].emplace(
                 overlayAnalyzer.assessWithOracle(*event, *degraded, rng));
             if (options_.scenarioAggregates) {

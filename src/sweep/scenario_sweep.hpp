@@ -14,15 +14,17 @@
 
 namespace aio::sweep {
 
-/// How the sweep obtains each scenario's degraded routing state.
+/// How the sweep shares degraded routing states between scenarios. Both
+/// modes build each routing state from scratch under the substrate's
+/// storage policy (route::buildOracle); they differ only in sharing.
 enum class RecomputeMode {
-    /// Dedupe scenarios by cut-set digest and derive each unique degraded
-    /// oracle incrementally from the substrate's baseline (only dirty
-    /// destinations re-solved). The production mode.
+    /// Dedupe scenarios by cut-set digest and build each unique degraded
+    /// oracle once, sharing it through the substrate's oracle cache when
+    /// one is wired in. The production mode.
     Incremental,
-    /// One full from-scratch oracle per scenario, no dedupe, no cache —
-    /// the per-scenario-recompute reference the differential harness and
-    /// the speedup bench compare against.
+    /// One oracle per scenario, no dedupe, no cache — the
+    /// per-scenario-recompute reference the differential harness and the
+    /// speedup bench compare against.
     Full,
 };
 
@@ -58,10 +60,12 @@ struct SweepStats {
     /// scenario in this batch (same cut-set digest) or with the
     /// substrate's oracle cache.
     std::size_t dedupHits = 0;
+    /// Degraded oracles built, by mode (cache hits build nothing).
     std::size_t incrementalBuilds = 0;
     std::size_t fullBuilds = 0;
-    /// Destinations re-solved across all incremental builds (the work a
-    /// full recompute would have multiplied by topology size).
+    /// Destination rows those builds solved (RouteOracle::solvedRows,
+    /// read after scoring): every row of a dense build, the rows scoring
+    /// touched of a sharded one.
     std::size_t dirtyDestinations = 0;
     /// Scenarios that changed a derived layer (cables added / config
     /// overrides) and therefore re-derived their stack per scenario.
@@ -172,11 +176,9 @@ struct BatchSweepResult {
 ///  * scenarios with the same cut-set digest share one degraded oracle
 ///    (and the substrate's OracleCache, when wired, shares them across
 ///    sweeps);
-///  * unique cut sets are re-solved *incrementally* from the substrate's
-///    baseline oracle (RouteOracle::deriveFiltered) — only destinations
-///    whose selected route forest crosses a failed link are recomputed,
-///    eagerly under the dense policy, lazily per queried row under the
-///    sharded one;
+///  * each unique cut set is one from-scratch build under the
+///    substrate's storage policy — every row eagerly under dense, each
+///    queried row lazily under sharded;
 ///  * independent scenarios are scheduled across the substrate's
 ///    WorkerPool (oracle builds never nest inside pool lanes — the inner
 ///    recomputes run sequentially per lane).

@@ -1,16 +1,14 @@
 // The kernel's compiled filter and the sharded oracle's accounting of
-// what it compiles and allocates: filter entries naming ASes outside the
-// topology must change no route under either storage policy (and, under
-// the sanitizers, must never index the per-AS flag array), and the
-// single-row solve scratch must show in memoryBytes() exactly when an
-// oracle has solved a row itself.
+// what it compiles, allocates and solves: filter entries naming ASes
+// outside the topology must change no route under either storage policy
+// (and, under the sanitizers, must never index the per-AS flag array);
+// the single-row solve scratch must show in memoryBytes() exactly once
+// the oracle has solved its first row; and solvedRows() must count each
+// row once, however often eviction drops its bytes.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "exec/worker_pool.hpp"
 #include "routing/path_oracle.hpp"
@@ -54,12 +52,9 @@ TEST(CompiledFilter, OutOfRangeEntriesChangeNoRoute) {
     const topo::Topology topo = defaultWorld();
     const std::size_t n = topo.asCount();
     exec::WorkerPool pool{2};
-    const auto denseBase = std::make_shared<const PathOracle>(topo);
-    const auto shardedBase = std::make_shared<const ShardedOracle>(topo);
 
     // Link cuts plus out-of-range links; then the same with out-of-range
-    // ASes too (which forces every derived row dirty, and must still
-    // change nothing).
+    // ASes too (which must still change nothing).
     const LinkFilter clean = inRangeCuts(topo);
     LinkFilter links = clean;
     addOutOfRange(links, n);
@@ -74,12 +69,8 @@ TEST(CompiledFilter, OutOfRangeEntriesChangeNoRoute) {
         expectSameRoutes(want, PathOracle{topo, *noisy}, label + " dense");
         expectSameRoutes(want, PathOracle{topo, *noisy, pool},
                          label + " dense pool");
-        expectSameRoutes(want, *denseBase->deriveFiltered(*noisy, &pool),
-                         label + " dense derived");
         expectSameRoutes(want, ShardedOracle{topo, *noisy},
                          label + " sharded");
-        expectSameRoutes(want, *shardedBase->deriveFiltered(*noisy),
-                         label + " sharded derived");
     }
 
     // A filter holding nothing but out-of-range entries routes like no
@@ -87,9 +78,10 @@ TEST(CompiledFilter, OutOfRangeEntriesChangeNoRoute) {
     LinkFilter onlyNoise;
     addOutOfRange(onlyNoise, n);
     onlyNoise.disableAs(n + 3);
-    expectSameRoutes(*denseBase, PathOracle{topo, onlyNoise},
+    const PathOracle intact{topo};
+    expectSameRoutes(intact, PathOracle{topo, onlyNoise},
                      "only out-of-range entries");
-    expectSameRoutes(*denseBase, ShardedOracle{topo, onlyNoise},
+    expectSameRoutes(intact, ShardedOracle{topo, onlyNoise},
                      "only out-of-range entries, sharded");
 }
 
@@ -120,46 +112,58 @@ TEST(ShardedOracleMemory, SolveScratchIsCountedOnlyOnceARowIsSolved) {
         kernel::DestScratch::bytesFor(n) +
         n * (sizeof(std::int32_t) + sizeof(std::uint8_t));
 
-    // One cut that some destinations route across (dirty) and the rest
-    // do not (clean), per the dense oracle's exact dirty set.
-    const PathOracle dense{topo};
-    LinkFilter cut;
-    std::vector<topo::AsIndex> dirty;
-    for (const topo::AsLink& link : topo.links()) {
-        LinkFilter one;
-        one.disableLink(link.a, link.b);
-        dirty = dense.dirtyDestinations(one);
-        if (!dirty.empty() && dirty.size() < n) {
-            cut = one;
-            break;
+    // Until its first row the oracle holds only its fixed overhead.
+    const ShardedOracle oracle{topo, inRangeCuts(topo)};
+    ASSERT_GE(oracle.config().shardDestinations, n) << "one shard";
+    const std::size_t fixed = oracle.memoryBytes();
+    EXPECT_EQ(oracle.solvedRows(), 0U);
+    EXPECT_EQ(oracle.residentShardCount(), 0U);
+
+    // The first row brings in exactly the scratch and its shard.
+    const std::size_t shardBytes = n * oracle.rowBytes();
+    (void)oracle.nextHopOf(0, 1);
+    EXPECT_EQ(oracle.solvedRows(), 1U);
+    EXPECT_EQ(oracle.memoryBytes(), fixed + scratchBytes + shardBytes);
+
+    // Every other row lands in that shard and reuses that scratch.
+    for (topo::AsIndex dst = 0; dst < n; ++dst) {
+        (void)oracle.routeClass(0, dst);
+    }
+    EXPECT_EQ(oracle.solvedRows(), n);
+    EXPECT_EQ(oracle.memoryBytes(), fixed + scratchBytes + shardBytes);
+
+    // A pool-parallel bulk build solves on per-lane scratch, which it
+    // frees on return: only the shard stays counted.
+    exec::WorkerPool pool{2};
+    const ShardedOracle bulk{topo, inRangeCuts(topo)};
+    bulk.materializeAll(&pool);
+    EXPECT_EQ(bulk.solvedRows(), n);
+    EXPECT_EQ(bulk.memoryBytes(), fixed + shardBytes);
+}
+
+TEST(ShardedOracleMemory, SolvedRowsCountEachRowOnce) {
+    const topo::Topology topo = defaultWorld();
+    const std::size_t n = topo.asCount();
+    EXPECT_EQ(PathOracle(topo, inRangeCuts(topo)).solvedRows(), n);
+
+    // Eight-row shards under a budget of four shards plus the scratch:
+    // two full passes evict and re-solve rows, and still count each row
+    // once.
+    ShardedOracleConfig config;
+    config.shardDestinations = 8;
+    const ShardedOracle probe{topo, inRangeCuts(topo), config};
+    config.residentByteBudget =
+        probe.memoryBytes() + kernel::DestScratch::bytesFor(n) +
+        n * (sizeof(std::int32_t) + sizeof(std::uint8_t)) +
+        4 * 8 * probe.rowBytes();
+    const ShardedOracle squeezed{topo, inRangeCuts(topo), config};
+    for (int pass = 0; pass < 2; ++pass) {
+        for (topo::AsIndex dst = 0; dst < n; ++dst) {
+            (void)squeezed.nextHopOf(0, dst);
         }
     }
-    ASSERT_FALSE(cut.empty());
-    topo::AsIndex cleanDst = 0;
-    while (std::ranges::binary_search(dirty, cleanDst)) {
-        ++cleanDst;
-    }
-
-    const auto base = std::make_shared<const ShardedOracle>(topo);
-    const std::size_t baseFixed = base->memoryBytes();
-    const auto derived = base->deriveFiltered(cut);
-    const std::size_t fixed = derived->memoryBytes();
-
-    // Clean rows delegate to the baseline: the derived oracle solves
-    // nothing, so it holds no scratch and no shard — while the baseline,
-    // which solved the row, now counts its scratch and one shard.
-    for (topo::AsIndex src = 0; src < n; ++src) {
-        (void)derived->nextHopOf(src, cleanDst);
-    }
-    EXPECT_EQ(derived->resolvedDirtyDestinations(), 0U);
-    EXPECT_EQ(derived->memoryBytes(), fixed);
-    const std::size_t shardBytes = n * base->rowBytes(); // one shard
-    EXPECT_EQ(base->memoryBytes(), baseFixed + scratchBytes + shardBytes);
-
-    // A dirty row re-solves locally: scratch and its shard appear.
-    (void)derived->nextHopOf(0, dirty.front());
-    EXPECT_EQ(derived->resolvedDirtyDestinations(), 1U);
-    EXPECT_EQ(derived->memoryBytes(), fixed + scratchBytes + shardBytes);
+    EXPECT_GT(squeezed.shardEvictions(), 0U);
+    EXPECT_EQ(squeezed.solvedRows(), n);
 }
 
 } // namespace

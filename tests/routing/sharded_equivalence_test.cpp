@@ -4,12 +4,11 @@
 // query surface as CRCs, every byte, not spot checks — must equal the
 // dense PathOracle reference. Covers sequential / 2-lane / 8-lane
 // materialization, cold and warm reads, forced shard eviction, forced
-// wide-row fallback, lazy incremental derivation per cut set, and the
-// typed capacity errors both policies throw instead of bad_alloc.
+// wide-row fallback, and the typed capacity errors both policies throw
+// instead of bad_alloc.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "exec/worker_pool.hpp"
@@ -40,8 +39,7 @@ topo::GeneratorConfig sizedConfig(std::uint64_t seed, bool small) {
     return config;
 }
 
-/// The failure grid: intact, random link cuts, mixed link + AS outage
-/// (the AS case forces the derived oracle's all-rows-dirty path).
+/// The failure grid: intact, random link cuts, mixed link + AS outage.
 std::vector<LinkFilter> failureGrid(const topo::Topology& topo,
                                     std::uint64_t seed) {
     std::vector<LinkFilter> grid;
@@ -175,65 +173,6 @@ TEST(ShardedEquivalence, WideRowFallbackKeepsBytes) {
     const ShardedOracle allWide{topo, filters[1], config};
     EXPECT_EQ(allWide.wideSourceCount(), topo.asCount());
     expectDigestEqual(want, allWide, "all-wide");
-}
-
-TEST(ShardedEquivalence, IncrementalDerivationMatchesFromScratch) {
-    const topo::Topology topo =
-        topo::TopologyGenerator{sizedConfig(11, true)}.generate();
-    const auto baseline = std::make_shared<const ShardedOracle>(topo);
-
-    int filterIdx = 0;
-    for (const LinkFilter& filter : failureGrid(topo, 11)) {
-        const std::string label = "filter=" + std::to_string(filterIdx++);
-        const PathOracle dense{topo, filter};
-        const RouteMatrixDigest want = routeMatrixDigest(dense);
-
-        const auto derived = baseline->deriveFiltered(filter);
-        expectDigestEqual(want, *derived, label + " derived");
-        // Lazily resolved dirty rows never exceed the destination count,
-        // and a full matrix read resolves every row's classification.
-        EXPECT_LE(derived->resolvedDirtyDestinations(), topo.asCount());
-        if (!filter.empty()) {
-            EXPECT_GT(derived->resolvedDirtyDestinations(), 0U) << label;
-        }
-
-        const ShardedOracle scratch{topo, filter};
-        expectDigestEqual(want, scratch, label + " from-scratch");
-    }
-}
-
-TEST(ShardedEquivalence, IncrementalSweepOverGrowingCutSets) {
-    // The sweep shape: one baseline, successive cut sets each derived
-    // from it, each compared against dense recomputation — and a derived
-    // oracle squeezed by eviction must survive the same comparison.
-    const topo::Topology topo =
-        topo::TopologyGenerator{sizedConfig(13, true)}.generate();
-    const auto baseline = std::make_shared<const ShardedOracle>(topo);
-    net::Rng rng{997};
-
-    LinkFilter cumulative;
-    for (int round = 0; round < 4; ++round) {
-        for (const auto& link : topo.links()) {
-            if (rng.bernoulli(0.01)) {
-                cumulative.disableLink(link.a, link.b);
-            }
-        }
-        const PathOracle dense{topo, cumulative};
-        const RouteMatrixDigest want = routeMatrixDigest(dense);
-        const auto derived = baseline->deriveFiltered(cumulative);
-        expectDigestEqual(want, *derived,
-                          "round " + std::to_string(round));
-    }
-
-    // Dense incremental (PR 5 path) against sharded derivation: both
-    // must match the from-scratch dense build.
-    const PathOracle denseBaseline{topo};
-    const PathOracle denseIncremental{denseBaseline, cumulative};
-    const PathOracle denseScratch{topo, cumulative};
-    const RouteMatrixDigest want = routeMatrixDigest(denseScratch);
-    expectDigestEqual(want, denseIncremental, "dense incremental");
-    const auto derived = baseline->deriveFiltered(cumulative);
-    expectDigestEqual(want, *derived, "sharded incremental");
 }
 
 TEST(ShardedEquivalence, CacheColdAndWarmShardedLookups) {

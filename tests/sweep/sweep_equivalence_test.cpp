@@ -2,8 +2,8 @@
 // topology-size x cut-set grid and 1/2/8-thread pools, every sweep
 // outcome must equal — ImpactReport::operator==, i.e. bitwise on every
 // double — the per-scenario full recompute through WhatIfEngine::assess.
-// This is the contract that makes incremental route recomputation and
-// cut-set dedupe safe to use at all.
+// This is the contract that makes cut-set dedupe and the shared oracle
+// cache safe to use at all.
 
 #include <gtest/gtest.h>
 
@@ -309,7 +309,7 @@ TEST(SweepEquivalence, ShardedStoragePolicyIsByteIdentical) {
     const SweepResult result = engine.run(specs);
     expectMatchesReference(result, refs, "sharded seq");
     EXPECT_GT(result.stats.dirtyDestinations, 0U)
-        << "lazy sharded derivation still reports the rows it re-solved";
+        << "lazy sharded builds still report the rows scoring solved";
     const ScenarioSweepEngine full{
         sharded, SweepOptions{.mode = RecomputeMode::Full}};
     expectMatchesReference(full.run(specs), refs, "sharded full");
