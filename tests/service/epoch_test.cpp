@@ -115,14 +115,20 @@ TEST(EpochRegistry, ConcurrentReadersAcrossSwapsSeeConsistentEpochs) {
     (void)registry.publish(rotation[0]);
 
     std::atomic<bool> stop{false};
+    std::atomic<std::size_t> pinnedReaders{0};
     std::atomic<std::uint64_t> reads{0};
     std::atomic<std::uint64_t> tornReads{0};
     std::vector<std::thread> readers;
     readers.reserve(kReaders);
     for (std::size_t r = 0; r < kReaders; ++r) {
         readers.emplace_back([&] {
+            bool first = true;
             while (!stop.load(std::memory_order_relaxed)) {
                 const PinnedSnapshot pinned = registry.pin();
+                if (first) {
+                    pinnedReaders.fetch_add(1);
+                    first = false;
+                }
                 const auto digest = pinned->digest();
                 // Touch the substrate too: a reclaimed snapshot would
                 // crash or race here.
@@ -137,6 +143,11 @@ TEST(EpochRegistry, ConcurrentReadersAcrossSwapsSeeConsistentEpochs) {
         });
     }
 
+    // Swap only once every reader holds a pin: otherwise the writer can
+    // finish all its swaps before any reader thread is scheduled.
+    while (pinnedReaders.load() < kReaders) {
+        std::this_thread::yield();
+    }
     for (std::size_t swap = 1; swap <= kSwaps; ++swap) {
         (void)registry.publish(rotation[swap % rotation.size()]);
         std::this_thread::yield();
