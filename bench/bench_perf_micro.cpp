@@ -133,14 +133,14 @@ void BM_OracleCacheFailureSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCacheFailureSweep)->Unit(benchmark::kMillisecond);
 
-// ---- scenario sweep: full vs incremental recompute ------------------
+// ---- scenario sweep: full recompute vs cut-set dedupe ---------------
 // Paired rows over the same batch, structured the way real sweeps are: a
 // cross product of overlapping random cut sets (1-4 cables from a pool
-// of 11) x four repair policies. Mode 0 rebuilds every scenario's routes
-// from scratch (the per-scenario reference); mode 1 uses the sweep
-// engine's dirty-destination incremental path plus cut-set digest dedupe
-// (the oracle depends only on the cut set, so repair-policy variants
-// share one build). The sweep_equivalence tests prove both modes produce
+// of 11) x four repair policies. Both modes build each routing state
+// from scratch; mode 0 builds one per scenario (the per-scenario
+// reference), mode 1 one per distinct cut-set digest (the oracle
+// depends only on the cut set, so repair-policy variants share one
+// build). The sweep_equivalence tests prove both modes produce
 // byte-identical reports; these rows price the difference. Acceptance:
 // >=3x at 256 scenarios.
 void BM_ScenarioSweep(benchmark::State& state) {
@@ -200,12 +200,6 @@ void BM_ScenarioSweep(benchmark::State& state) {
         incremental ? stats.incrementalBuilds : stats.fullBuilds;
     state.counters["oracle_builds"] = static_cast<double>(builds);
     state.counters["dedup_hits"] = static_cast<double>(stats.dedupHits);
-    if (incremental && builds > 0) {
-        state.counters["dirty_frac"] =
-            static_cast<double>(stats.dirtyDestinations) /
-            (static_cast<double>(builds) *
-             static_cast<double>(topo.asCount()));
-    }
     state.SetLabel(std::to_string(batch) + " scenarios, " +
                    (incremental ? "incremental" : "full"));
 }

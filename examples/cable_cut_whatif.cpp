@@ -4,9 +4,9 @@
 //
 // Written against the Substrate + scenario-sweep API: both scenarios
 // (status quo and the WestShield overlay) go through one
-// ScenarioSweepEngine batch, which recomputes routes incrementally and
-// is byte-identical to assessing each scenario through its own
-// WhatIfEngine.
+// ScenarioSweepEngine batch, which shares one route build per distinct
+// cut set and is byte-identical to assessing each scenario through its
+// own WhatIfEngine.
 //
 //   ./build/examples/cable_cut_whatif
 
