@@ -150,8 +150,13 @@ private:
 class ScopedTimer {
 public:
     ScopedTimer(MetricsRegistry* registry, std::string_view name)
-        : histogram_(registry ? &registry->histogram(name) : nullptr),
-          clock_(registry ? &registry->clock() : nullptr),
+        : ScopedTimer(registry ? &registry->histogram(name) : nullptr,
+                      registry ? &registry->clock() : nullptr) {}
+
+    /// Times into a histogram the caller already holds, reading `clock`;
+    /// a null histogram makes the timer a no-op.
+    ScopedTimer(Histogram* histogram, const Clock* clock)
+        : histogram_(histogram), clock_(histogram ? clock : nullptr),
           startNanos_(clock_ ? clock_->nowNanos() : 0) {}
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -169,6 +174,32 @@ private:
     Histogram* histogram_;
     const Clock* clock_;
     std::uint64_t startNanos_;
+};
+
+/// A registry counter looked up on its first add() and held afterwards:
+/// it appears in the registry exactly when a by-name add() would have
+/// created it, without a locked name lookup per event. Null-registry-
+/// tolerant like ScopedTimer. `name` must outlive the handle (a string
+/// literal in practice); one thread uses a handle at a time.
+class LazyCounter {
+public:
+    LazyCounter(MetricsRegistry* registry, std::string_view name)
+        : registry_(registry), name_(name) {}
+
+    void add(std::uint64_t n = 1) {
+        if (registry_ == nullptr) {
+            return;
+        }
+        if (counter_ == nullptr) {
+            counter_ = &registry_->counter(name_);
+        }
+        counter_->add(n);
+    }
+
+private:
+    MetricsRegistry* registry_;
+    std::string_view name_;
+    Counter* counter_ = nullptr;
 };
 
 } // namespace aio::obs

@@ -72,11 +72,8 @@ StreamConsumer::replayCheckpoints(std::span<const std::byte> bytes) const {
                 }
             }
             replayed.checkpointEvent = eventIndex;
-            const std::size_t stateOffset =
-                payload.size() - reader.remaining();
-            replayed.checkpointState.assign(
-                payload.begin() + static_cast<std::ptrdiff_t>(stateOffset),
-                payload.end());
+            replayed.checkpointState =
+                payload.subspan(payload.size() - reader.remaining());
         } else {
             throw net::CorruptionError{
                 "checkpoint journal holds unknown record type " +
@@ -143,7 +140,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
         persist::ByteWriter payload;
         payload.u8(kCheckpointRecord);
         payload.u64(eventIndex);
-        payload.raw(detector.encodeState());
+        detector.encodeState(payload);
         appendRecord(payload.bytes());
         if (metrics_ != nullptr) {
             metrics_->counter("stream.consumer.checkpoints").add();

@@ -73,7 +73,8 @@ private:
         std::uint64_t digest = 0;
         std::uint64_t resumedAtEvent = 0;
         std::optional<std::uint64_t> checkpointEvent;
-        std::vector<std::byte> checkpointState;
+        /// Points into the replayed journal's bytes.
+        std::span<const std::byte> checkpointState;
     };
 
     [[nodiscard]] ReplayedJournal

@@ -15,11 +15,17 @@ constexpr std::uint32_t kFormatVersion = 1;
 EventLogWriter::EventLogWriter(persist::ByteSink& sink,
                                const EventLogHeader& header,
                                obs::MetricsRegistry* metrics)
-    : writer_(sink), sink_(&sink), metrics_(metrics) {
+    : writer_(sink), sink_(&sink) {
     AIO_EXPECTS(header.formatVersion == kFormatVersion,
                 "unsupported event-log format version");
     AIO_EXPECTS(header.samplesPerDay > 0.0 && header.windowDays > 0.0,
                 "event-log header needs a positive cadence and window");
+    if (metrics != nullptr) {
+        clock_ = &metrics->clock();
+        appendSeconds_ = &metrics->histogram("stream.log.append_seconds");
+        appends_ = &metrics->counter("stream.log.appends");
+        bytesWritten_ = &metrics->counter("stream.log.bytes_written");
+    }
     persist::ByteWriter payload;
     payload.u8(kHeaderRecord);
     payload.u32(header.formatVersion);
@@ -37,15 +43,15 @@ void EventLogWriter::append(const MeasurementEvent& event) {
 }
 
 void EventLogWriter::appendRecord(std::span<const std::byte> payload) {
-    obs::ScopedTimer timer{metrics_, "stream.log.append_seconds"};
+    obs::ScopedTimer timer{appendSeconds_, clock_};
     writer_.append(payload);
     // Same durability contract as CampaignJournal: the record is only
     // real once it survives a crash, so flush before returning.
     sink_->flush();
-    if (metrics_ != nullptr) {
-        metrics_->counter("stream.log.appends").add();
-        metrics_->counter("stream.log.bytes_written")
-            .add(payload.size() + 12); // framing: len + lenCrc + payloadCrc
+    if (appends_ != nullptr) {
+        appends_->add();
+        // framing: len + lenCrc + payloadCrc
+        bytesWritten_->add(payload.size() + 12);
     }
 }
 

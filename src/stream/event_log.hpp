@@ -48,7 +48,11 @@ private:
 
     persist::RecordWriter writer_;
     persist::ByteSink* sink_;
-    obs::MetricsRegistry* metrics_;
+    /// Held registry instruments; all null without a registry.
+    const obs::Clock* clock_ = nullptr;
+    obs::Histogram* appendSeconds_ = nullptr;
+    obs::Counter* appends_ = nullptr;
+    obs::Counter* bytesWritten_ = nullptr;
 };
 
 /// An event log read back from bytes. `boundaries[i]` is the byte offset

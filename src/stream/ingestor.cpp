@@ -4,7 +4,13 @@ namespace aio::stream {
 
 StreamIngestor::StreamIngestor(StreamConfig config,
                                obs::MetricsRegistry* metrics)
-    : config_(config), metrics_(metrics) {
+    : config_(config),
+      stalls_(metrics, "stream.ingest.backpressure_stalls"),
+      delivered_(metrics, "stream.ingest.delivered"),
+      reconnects_(metrics, "stream.ingest.reconnects"),
+      staleSessions_(metrics, "stream.ingest.stale_sessions"),
+      duplicates_(metrics, "stream.ingest.duplicates"),
+      accepted_(metrics, "stream.ingest.accepted") {
     config_.validate();
     ring_.reserve(config_.queueCapacity);
 }
@@ -27,19 +33,14 @@ void StreamIngestor::capture(std::span<const DeliveredEvent> delivered,
             // frees. Deterministic because the model has one logical
             // producer and batch drains.
             ++stats_.backpressureStalls;
-            if (metrics_ != nullptr) {
-                metrics_->counter("stream.ingest.backpressure_stalls")
-                    .add();
-            }
+            stalls_.add();
             drain();
         }
         ring_.push_back(copy);
         ++stats_.eventsDelivered;
     }
     drain();
-    if (metrics_ != nullptr) {
-        metrics_->counter("stream.ingest.delivered").add(delivered.size());
-    }
+    delivered_.add(delivered.size());
 }
 
 namespace {
@@ -54,17 +55,9 @@ constexpr std::uint32_t kSessionRetention = 8;
 
 bool StreamIngestor::admit(const MeasurementEvent& event) {
     ProbeDedupe& probe = probes_[event.probe];
-    const auto count = [&](const char* name) {
-        if (metrics_ != nullptr) {
-            metrics_->counter(name).add();
-        }
-    };
     if (event.session > probe.maxSession) {
         stats_.reconnects += event.session - probe.maxSession;
-        if (metrics_ != nullptr) {
-            metrics_->counter("stream.ingest.reconnects")
-                .add(event.session - probe.maxSession);
-        }
+        reconnects_.add(event.session - probe.maxSession);
         probe.maxSession = event.session;
         while (!probe.sessions.empty() &&
                probe.sessions.begin()->first + kSessionRetention <=
@@ -77,7 +70,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         // dedupe state is gone, so the copy cannot be admitted honestly
         // — only dropped and counted.
         ++stats_.staleSessions;
-        count("stream.ingest.stale_sessions");
+        staleSessions_.add();
         return false;
     }
     SessionDedupe& session = probe.sessions[event.session];
@@ -86,7 +79,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         // "seen and evicted"; at-least-once delivery makes redelivery
         // the overwhelmingly likely story, so drop conservatively.
         ++stats_.duplicatesDropped;
-        count("stream.ingest.duplicates");
+        duplicates_.add();
         return false;
     }
     session.seen.insert(event.seq);
@@ -95,7 +88,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         session.seen.erase(session.seen.begin(),
                            session.seen.lower_bound(session.floorSeq));
     }
-    count("stream.ingest.accepted");
+    accepted_.add();
     return true;
 }
 

@@ -60,7 +60,12 @@ private:
     };
 
     StreamConfig config_;
-    obs::MetricsRegistry* metrics_;
+    obs::LazyCounter stalls_;
+    obs::LazyCounter delivered_;
+    obs::LazyCounter reconnects_;
+    obs::LazyCounter staleSessions_;
+    obs::LazyCounter duplicates_;
+    obs::LazyCounter accepted_;
     std::map<std::uint64_t, ProbeDedupe> probes_;
     std::vector<DeliveredEvent> ring_;
     DegradationReport stats_;

@@ -17,6 +17,11 @@ constexpr std::uint32_t kStateVersion = 1;
 constexpr std::array<double, 6> kLagBoundsDays{0.25, 0.5, 1.0,
                                                2.0,  4.0, 8.0};
 
+/// Registry counters fed by laneCounts(), in its order.
+constexpr std::array<const char*, 4> kCounterNames{
+    "stream.detector.events", "stream.detector.late_dropped",
+    "stream.detector.duplicate_slots", "stream.detector.sealed_gaps"};
+
 /// Median of an already-sorted sample; matches net::median's
 /// rank-interpolation for the 50th percentile.
 double sortedMedian(const std::vector<double>& sorted) {
@@ -70,7 +75,9 @@ void OnlineRadarDetector::laneIngest(Lane& lane,
             ? static_cast<double>(lane.maxSlot - event.slot) /
                   radar_.samplesPerDay
             : 0.0;
-    lane.pendingLags.push_back(lagDays);
+    if (metrics_ != nullptr) {
+        lane.pendingLags.push_back(lagDays);
+    }
     if (event.slot < lane.sealedThrough) {
         // Behind the watermark: the slot's fate is already decided.
         // Merging now would make results depend on delivery order, so
@@ -142,37 +149,51 @@ void OnlineRadarDetector::sealLane(Lane& lane) {
     }
 }
 
-void OnlineRadarDetector::publishPending() {
+std::array<std::uint64_t, 4>
+OnlineRadarDetector::laneCounts(const Lane& lane) {
+    return {lane.events, lane.lateDropped, lane.duplicateSlots,
+            lane.sealedGaps};
+}
+
+void OnlineRadarDetector::publishPending(Lane* lane) {
     if (metrics_ == nullptr) {
-        for (auto& [country, lane] : lanes_) {
-            lane.pendingLags.clear();
-        }
         return;
     }
-    obs::Histogram& lag =
-        metrics_->histogram("stream.detector.lag_days", kLagBoundsDays);
-    for (auto& [country, lane] : lanes_) {
-        for (const double sample : lane.pendingLags) {
-            lag.record(sample);
+    if (lagDays_ == nullptr) {
+        lagDays_ =
+            &metrics_->histogram("stream.detector.lag_days", kLagBoundsDays);
+        for (std::size_t i = 0; i < kCounterNames.size(); ++i) {
+            counters_[i] = &metrics_->counter(kCounterNames[i]);
         }
-        lane.pendingLags.clear();
     }
-    const DegradationReport now = degradation();
-    metrics_->counter("stream.detector.events")
-        .add(eventsIngested() - published_.eventsDelivered);
-    metrics_->counter("stream.detector.late_dropped")
-        .add(now.lateDropped - published_.lateDropped);
-    metrics_->counter("stream.detector.duplicate_slots")
-        .add(now.duplicateSlots - published_.duplicateSlots);
-    metrics_->counter("stream.detector.sealed_gaps")
-        .add(now.sealedGaps - published_.sealedGaps);
-    published_ = now;
-    published_.eventsDelivered = eventsIngested();
+    const auto publish = [&](Lane& one) {
+        for (const double sample : one.pendingLags) {
+            lagDays_->record(sample);
+        }
+        one.pendingLags.clear();
+        const auto now = laneCounts(one);
+        for (std::size_t i = 0; i < now.size(); ++i) {
+            if (now[i] != one.published[i]) {
+                counters_[i]->add(now[i] - one.published[i]);
+            }
+        }
+        one.published = now;
+    };
+    if (lane != nullptr) {
+        publish(*lane);
+        return;
+    }
+    for (auto& [country, each] : lanes_) {
+        publish(each);
+    }
 }
 
 void OnlineRadarDetector::ingest(const MeasurementEvent& event) {
-    laneIngest(laneFor(event.country), event);
-    publishPending();
+    Lane& lane = laneFor(event.country);
+    laneIngest(lane, event);
+    // Only this lane moved, so only its buffers and counters can hold
+    // anything unpublished.
+    publishPending(&lane);
 }
 
 void OnlineRadarDetector::ingestAll(
@@ -283,6 +304,19 @@ std::uint64_t OnlineRadarDetector::eventsIngested() const {
 
 std::vector<std::byte> OnlineRadarDetector::encodeState() const {
     persist::ByteWriter writer;
+    encodeState(writer);
+    return {writer.bytes().begin(), writer.bytes().end()};
+}
+
+void OnlineRadarDetector::encodeState(persist::ByteWriter& writer) const {
+    // The exact size of what follows: the fixed header, then per lane
+    // its name, scalars, slot arrays and alerts.
+    std::size_t size = 4 + 8 + 8 + 4;
+    for (const auto& [country, lane] : lanes_) {
+        size += 4 + country.size() + 1 + 4 + 8 + 8 + 4 + 1 + 4 * 8 +
+                slotCount_ * (1 + 8) + 4 + lane.alerts.size() * 2 * 8;
+    }
+    writer.reserve(size);
     writer.u32(kStateVersion);
     writer.u64(digest_);
     writer.u64(slotCount_);
@@ -299,20 +333,14 @@ std::vector<std::byte> OnlineRadarDetector::encodeState() const {
         writer.u64(lane.duplicateSlots);
         writer.u64(lane.lateDropped);
         writer.u64(lane.sealedGaps);
-        for (std::size_t s = 0; s < slotCount_; ++s) {
-            writer.u8(lane.present[s]);
-        }
-        for (std::size_t s = 0; s < slotCount_; ++s) {
-            writer.f64(lane.values[s]);
-        }
+        writer.raw(std::as_bytes(std::span{lane.present}));
+        writer.f64s(lane.values);
         writer.u32(static_cast<std::uint32_t>(lane.alerts.size()));
         for (const OnlineAlert& alert : lane.alerts) {
             writer.f64(alert.startDay);
             writer.f64(alert.detectedAtDay);
         }
     }
-    const auto bytes = writer.bytes();
-    return {bytes.begin(), bytes.end()};
 }
 
 void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
@@ -349,6 +377,7 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
         lane.duplicateSlots = reader.u64();
         lane.lateDropped = reader.u64();
         lane.sealedGaps = reader.u64();
+        lane.published = laneCounts(lane);
         lane.values.assign(slotCount_, 0.0);
         lane.present.assign(slotCount_, 0);
         for (std::size_t s = 0; s < slotCount_; ++s) {
@@ -384,11 +413,10 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
         throw net::CorruptionError{
             "detector checkpoint carries trailing bytes"};
     }
+    // Metrics stay incremental from here (each lane starts out fully
+    // published): a resumed process reports the work it does, not the
+    // work the crashed process already reported.
     lanes_ = std::move(lanes);
-    // Metrics stay incremental from here: a resumed process reports the
-    // work it does, not the work the crashed process already reported.
-    published_ = degradation();
-    published_.eventsDelivered = eventsIngested();
 }
 
 } // namespace aio::stream

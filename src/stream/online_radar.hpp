@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -10,6 +11,7 @@
 #include "exec/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "outage/radar.hpp"
+#include "persist/bytes.hpp"
 #include "stream/event.hpp"
 
 namespace aio::stream {
@@ -101,6 +103,11 @@ public:
     /// behavior).
     [[nodiscard]] std::vector<std::byte> encodeState() const;
 
+    /// Appends the same bytes to `writer`, growing it once to the exact
+    /// size: the checkpointing consumer encodes straight into its
+    /// record payload.
+    void encodeState(persist::ByteWriter& writer) const;
+
     /// Replaces this detector's state with a previously encoded one.
     /// Throws net::PreconditionError when the checkpoint's config digest
     /// differs (resuming under a different config would silently
@@ -124,15 +131,24 @@ private:
         std::uint64_t lateDropped = 0;
         std::uint64_t sealedGaps = 0;
         std::vector<OnlineAlert> alerts;
-        std::vector<double> pendingLags; ///< unpublished lag samples
+        /// Unpublished lag samples; buffered only with a registry.
+        std::vector<double> pendingLags;
+        /// laneCounts() as last added to the registry's counters.
+        std::array<std::uint64_t, 4> published{};
     };
+
+    /// events, lateDropped, duplicateSlots, sealedGaps: the order of
+    /// kCounterNames in the .cpp.
+    [[nodiscard]] static std::array<std::uint64_t, 4>
+    laneCounts(const Lane& lane);
 
     [[nodiscard]] Lane& laneFor(const std::string& country);
     void laneIngest(Lane& lane, const MeasurementEvent& event);
     void sealLane(Lane& lane);
-    /// Flushes buffered lag samples and counter deltas to the registry.
+    /// Flushes buffered lag samples and counter deltas to the registry:
+    /// `lane`'s alone, or every lane's in map order when null.
     /// Sequential contexts only.
-    void publishPending();
+    void publishPending(Lane* lane = nullptr);
     /// Lanes in readout order: country-table order first, then any
     /// non-African stragglers in name order.
     [[nodiscard]] std::vector<const Lane*> orderedLanes() const;
@@ -144,8 +160,11 @@ private:
     double watermarkSlots_;
     std::uint64_t digest_;
     obs::MetricsRegistry* metrics_;
+    /// The registry's instruments, looked up by the first publish (the
+    /// moment they have always been created) and held afterwards.
+    obs::Histogram* lagDays_ = nullptr;
+    std::array<obs::Counter*, 4> counters_{}; ///< laneCounts() order
     std::map<std::string, Lane, std::less<>> lanes_;
-    DegradationReport published_; ///< counter totals already in metrics
 };
 
 } // namespace aio::stream

@@ -172,5 +172,35 @@ TEST(ScopedTimer, NullRegistryIsInert) {
     SUCCEED();
 }
 
+TEST(ScopedTimer, HeldHistogramRecordsLikeTheNamedOne) {
+    ManualClock clock;
+    MetricsRegistry registry{&clock};
+    Histogram& held = registry.histogram("op_seconds");
+    {
+        const ScopedTimer timer{&held, &registry.clock()};
+        clock.advance(3'000'000); // 3 ms
+    }
+    {
+        const ScopedTimer inert{nullptr, &registry.clock()};
+        clock.advance(1'000'000);
+    }
+    const auto snap = held.snapshot();
+    EXPECT_EQ(snap.count, 1U);
+    EXPECT_DOUBLE_EQ(snap.sum, 0.003);
+}
+
+TEST(LazyCounter, JoinsTheRegistryOnItsFirstAdd) {
+    MetricsRegistry registry;
+    LazyCounter drops{&registry, "drops"};
+    EXPECT_EQ(registry.json().find("drops"), std::string::npos);
+    drops.add();
+    drops.add(4);
+    EXPECT_EQ(registry.counter("drops").value(), 5U);
+
+    LazyCounter inert{nullptr, "ignored"};
+    inert.add();
+    EXPECT_EQ(registry.json().find("ignored"), std::string::npos);
+}
+
 } // namespace
 } // namespace aio::obs

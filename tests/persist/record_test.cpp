@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <string_view>
 #include <vector>
 
 #include "netbase/error.hpp"
+#include "persist/bytes.hpp"
 
 namespace aio::persist {
 namespace {
@@ -25,6 +28,44 @@ std::string textOf(std::span<const std::byte> bytes) {
         return {};
     }
     return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+TEST(ByteWriter, FixedWidthFieldsAreLittleEndian) {
+    ByteWriter writer;
+    writer.u8(0xAB);
+    writer.u32(0x04030201U);
+    writer.u64(0x0C0B0A0908070605ULL);
+    writer.str("KE");
+    const std::vector<std::uint8_t> expected{
+        0xAB, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2, 0, 0, 0, 'K', 'E'};
+    ASSERT_EQ(writer.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(static_cast<std::uint8_t>(writer.bytes()[i]), expected[i])
+            << "byte " << i;
+    }
+}
+
+TEST(ByteWriter, F64sMatchesFieldByFieldEncoding) {
+    const std::vector<double> values{0.0, -0.0, -1.5, 1e300,
+                                     3.141592653589793};
+    ByteWriter block;
+    block.u8(7);
+    block.reserve(values.size() * 8);
+    block.f64s(values);
+    ByteWriter fields;
+    fields.u8(7);
+    for (const double value : values) {
+        fields.f64(value);
+    }
+    EXPECT_TRUE(std::ranges::equal(block.bytes(), fields.bytes()));
+
+    ByteReader reader{block.bytes()};
+    EXPECT_EQ(reader.u8(), 7U);
+    for (const double value : values) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.f64()),
+                  std::bit_cast<std::uint64_t>(value));
+    }
+    EXPECT_TRUE(reader.atEnd());
 }
 
 TEST(RecordCodec, RoundTripsPayloadsInOrder) {

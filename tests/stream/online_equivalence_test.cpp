@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +119,20 @@ TEST(OnlineEquivalence, StateRoundTripContinuesIdentically) {
     EXPECT_EQ(restored.encodeState(), original.encodeState());
     EXPECT_EQ(restored.finalDetections(), original.finalDetections());
     EXPECT_EQ(restored.finalDetections(), batchDetections(kWindowDays, kSeed));
+}
+
+TEST(OnlineEquivalence, InPlaceEncodingAppendsTheVectorFormsBytes) {
+    // The checkpointing consumer encodes behind a record type and event
+    // offset; the state bytes must come out exactly as encodeState().
+    OnlineRadarDetector detector = freshDetector();
+    detector.ingestAll(emittedEvents(kWindowDays, kSeed));
+    persist::ByteWriter payload;
+    payload.u8(2);
+    payload.u64(detector.eventsIngested());
+    detector.encodeState(payload);
+    const std::vector<std::byte> state = detector.encodeState();
+    ASSERT_EQ(payload.size(), 9 + state.size());
+    EXPECT_TRUE(std::ranges::equal(payload.bytes().subspan(9), state));
 }
 
 TEST(OnlineEquivalence, RestoreRefusesAForeignConfig) {
