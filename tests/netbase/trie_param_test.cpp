@@ -11,10 +11,13 @@
 namespace aio::net {
 namespace {
 
+// ctest names each case after the parameter as gtest prints it, which for
+// a struct is its raw bytes. The fields leave no padding, so those bytes
+// (and the test names) are the same in every build.
 struct TrieCase {
     int minLength;
     int maxLength;
-    int tableSize;
+    std::size_t tableSize;
     std::uint64_t seed;
 };
 
@@ -25,7 +28,7 @@ TEST_P(TrieSweep, AgreesWithBruteForce) {
     Rng rng{params.seed};
     PrefixTrie<std::size_t> trie;
     std::vector<Prefix> prefixes;
-    for (int i = 0; i < params.tableSize; ++i) {
+    for (std::size_t i = 0; i < params.tableSize; ++i) {
         const int length = static_cast<int>(
             rng.uniformRange(params.minLength, params.maxLength));
         const Prefix p{Ipv4Address{static_cast<std::uint32_t>(rng.next())},
@@ -57,7 +60,7 @@ TEST_P(TrieSweep, EveryStoredPrefixSelfMatches) {
     Rng rng{params.seed ^ 0x5555};
     PrefixTrie<int> trie;
     std::vector<Prefix> prefixes;
-    for (int i = 0; i < params.tableSize; ++i) {
+    for (std::size_t i = 0; i < params.tableSize; ++i) {
         const int length = static_cast<int>(
             rng.uniformRange(params.minLength, params.maxLength));
         const Prefix p{Ipv4Address{static_cast<std::uint32_t>(rng.next())},
