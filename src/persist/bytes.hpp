@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -117,6 +118,29 @@ public:
 
     [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
 
+    /// Fills `out` from `out.size()` consecutive f64 fields, mirroring
+    /// ByteWriter::f64s: one copy on little-endian hosts.
+    void f64s(std::span<double> out) {
+        if constexpr (std::endian::native == std::endian::little) {
+            const auto bytes = raw(out.size_bytes());
+            if (!out.empty()) {
+                std::memcpy(out.data(), bytes.data(), bytes.size());
+            }
+        } else {
+            for (double& value : out) {
+                value = f64();
+            }
+        }
+    }
+
+    /// The next `count` bytes, as a view into the payload.
+    [[nodiscard]] std::span<const std::byte> raw(std::size_t count) {
+        need(count);
+        const auto out = data_.subspan(pos_, count);
+        pos_ += count;
+        return out;
+    }
+
     [[nodiscard]] bool boolean() {
         const std::uint8_t value = u8();
         if (value > 1) {
@@ -127,14 +151,8 @@ public:
     }
 
     [[nodiscard]] std::string str() {
-        const std::uint32_t length = u32();
-        need(length);
-        std::string out;
-        out.reserve(length);
-        for (std::uint32_t i = 0; i < length; ++i) {
-            out.push_back(static_cast<char>(data_[pos_++]));
-        }
-        return out;
+        const auto bytes = raw(u32());
+        return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
     }
 
     [[nodiscard]] bool atEnd() const { return pos_ == data_.size(); }

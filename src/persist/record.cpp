@@ -63,12 +63,12 @@ std::uint64_t RecordWriter::append(std::span<const std::byte> payload) {
     putU32(header + 8, net::crc32c(payload));
     // One append per record: a crash inside it leaves a strict prefix of
     // this record and never touches earlier ones.
-    std::vector<std::byte> frame;
-    frame.reserve(kHeaderBytes + payload.size());
-    frame.insert(frame.end(), header, header + kHeaderBytes);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    sink_->append(frame);
-    bytes_ += frame.size();
+    frame_.clear();
+    frame_.reserve(kHeaderBytes + payload.size());
+    frame_.insert(frame_.end(), header, header + kHeaderBytes);
+    frame_.insert(frame_.end(), payload.begin(), payload.end());
+    sink_->append(frame_);
+    bytes_ += frame_.size();
     return records_++;
 }
 

@@ -135,6 +135,9 @@ public:
 
 private:
     ByteSink* sink_;
+    /// The frame of the record being appended, reused so a writer
+    /// allocates only when a record outgrows every earlier one.
+    std::vector<std::byte> frame_;
     std::uint64_t records_ = 0;
     std::uint64_t bytes_ = 0;
 };

@@ -68,6 +68,51 @@ TEST(ByteWriter, F64sMatchesFieldByFieldEncoding) {
     EXPECT_TRUE(reader.atEnd());
 }
 
+TEST(ByteReader, F64sMatchesFieldByFieldDecoding) {
+    const std::vector<double> values{0.0, -0.0, -1.5, 1e300,
+                                     3.141592653589793};
+    ByteWriter fields;
+    fields.u8(7);
+    for (const double value : values) {
+        fields.f64(value);
+    }
+    ByteReader reader{fields.bytes()};
+    EXPECT_EQ(reader.u8(), 7U);
+    std::vector<double> block(values.size());
+    reader.f64s(block);
+    EXPECT_TRUE(reader.atEnd());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(block[i]),
+                  std::bit_cast<std::uint64_t>(values[i]))
+            << "value " << i;
+    }
+
+    // raw() is a view of the next bytes, not a copy.
+    ByteReader viewer{fields.bytes()};
+    const auto first = viewer.raw(1);
+    ASSERT_EQ(first.size(), 1U);
+    EXPECT_EQ(first.data(), fields.bytes().data());
+    EXPECT_EQ(viewer.remaining(), values.size() * 8);
+}
+
+TEST(ByteReader, BulkReadsPastTheEndThrowAndConsumeNothing) {
+    ByteWriter writer;
+    writer.f64(1.0);
+    writer.u8(2);
+    ByteReader reader{writer.bytes()};
+    std::vector<double> two(2);
+    EXPECT_THROW(reader.f64s(two), net::CorruptionError);
+    EXPECT_THROW((void)reader.raw(10), net::CorruptionError);
+    EXPECT_EQ(reader.remaining(), 9U);
+    std::vector<double> one(1);
+    reader.f64s(one);
+    EXPECT_EQ(one[0], 1.0);
+    EXPECT_EQ(reader.raw(1).size(), 1U);
+    EXPECT_TRUE(reader.raw(0).empty());
+    EXPECT_TRUE(reader.atEnd());
+    EXPECT_THROW((void)reader.raw(1), net::CorruptionError);
+}
+
 TEST(RecordCodec, RoundTripsPayloadsInOrder) {
     MemorySink sink;
     RecordWriter writer{sink};
