@@ -68,41 +68,4 @@ void DegradationReport::merge(const DegradationReport& other) {
     }
 }
 
-void encodeDegradation(persist::ByteWriter& writer,
-                       const DegradationReport& report) {
-    writer.u64(report.eventsDelivered);
-    writer.u64(report.eventsAccepted);
-    writer.u64(report.duplicatesDropped);
-    writer.u64(report.staleSessions);
-    writer.u64(report.reconnects);
-    writer.u64(report.backpressureStalls);
-    writer.u64(report.duplicateSlots);
-    writer.u64(report.lateDropped);
-    writer.u64(report.sealedGaps);
-    writer.u32(static_cast<std::uint32_t>(report.lateByCountry.size()));
-    for (const auto& [country, count] : report.lateByCountry) {
-        writer.str(country);
-        writer.u64(count);
-    }
-}
-
-DegradationReport decodeDegradation(persist::ByteReader& reader) {
-    DegradationReport report;
-    report.eventsDelivered = reader.u64();
-    report.eventsAccepted = reader.u64();
-    report.duplicatesDropped = reader.u64();
-    report.staleSessions = reader.u64();
-    report.reconnects = reader.u64();
-    report.backpressureStalls = reader.u64();
-    report.duplicateSlots = reader.u64();
-    report.lateDropped = reader.u64();
-    report.sealedGaps = reader.u64();
-    const std::uint32_t entries = reader.u32();
-    for (std::uint32_t i = 0; i < entries; ++i) {
-        std::string country = reader.str();
-        report.lateByCountry[std::move(country)] = reader.u64();
-    }
-    return report;
-}
-
 } // namespace aio::stream

@@ -96,8 +96,4 @@ struct DegradationReport {
     [[nodiscard]] bool operator==(const DegradationReport&) const = default;
 };
 
-void encodeDegradation(persist::ByteWriter& writer,
-                       const DegradationReport& report);
-[[nodiscard]] DegradationReport decodeDegradation(persist::ByteReader& reader);
-
 } // namespace aio::stream
