@@ -8,7 +8,8 @@ namespace aio::stream {
 namespace {
 
 constexpr std::uint8_t kJournalHeaderRecord = 1;
-constexpr std::uint8_t kCheckpointRecord = 2;
+constexpr std::uint8_t kKeyCheckpointRecord = 2;
+constexpr std::uint8_t kDeltaCheckpointRecord = 3;
 constexpr std::uint32_t kJournalVersion = 1;
 
 } // namespace
@@ -51,7 +52,8 @@ StreamConsumer::replayCheckpoints(std::span<const std::byte> bytes) const {
                 throw net::CorruptionError{
                     "checkpoint-journal header carries trailing bytes"};
             }
-        } else if (type == kCheckpointRecord) {
+        } else if (type == kKeyCheckpointRecord ||
+                   type == kDeltaCheckpointRecord) {
             if (!replayed.sawHeader) {
                 throw net::CorruptionError{
                     "checkpoint journal starts without a header"};
@@ -65,6 +67,12 @@ StreamConsumer::replayCheckpoints(std::span<const std::byte> bytes) const {
             if (!sawAnchor) {
                 sawAnchor = true;
                 if (replayed.resumedAtEvent > 0 &&
+                    type == kDeltaCheckpointRecord) {
+                    throw net::CorruptionError{
+                        "continuation journal holds a delta before its "
+                        "anchor checkpoint"};
+                }
+                if (replayed.resumedAtEvent > 0 &&
                     eventIndex != replayed.resumedAtEvent) {
                     throw net::CorruptionError{
                         "continuation journal's first checkpoint does "
@@ -72,8 +80,14 @@ StreamConsumer::replayCheckpoints(std::span<const std::byte> bytes) const {
                 }
             }
             replayed.checkpointEvent = eventIndex;
-            replayed.checkpointState =
+            const auto body =
                 payload.subspan(payload.size() - reader.remaining());
+            if (type == kKeyCheckpointRecord) {
+                replayed.key = body;
+                replayed.deltas.clear();
+            } else {
+                replayed.deltas.push_back(body);
+            }
         } else {
             throw net::CorruptionError{
                 "checkpoint journal holds unknown record type " +
@@ -116,7 +130,12 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
                         "different radar/stream configuration");
         }
         if (replayed.checkpointEvent.has_value()) {
-            detector.restoreState(replayed.checkpointState);
+            if (replayed.key.has_value()) {
+                detector.restoreState(*replayed.key);
+            }
+            for (const auto delta : replayed.deltas) {
+                detector.applyDelta(delta);
+            }
             startIndex = *replayed.checkpointEvent;
             AIO_EXPECTS(startIndex <= view.events.size(),
                         "checkpoint lies beyond the end of the event log");
@@ -127,20 +146,26 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
     }
 
     // Fresh journal for this run: header, then (for continuations) the
-    // anchor checkpoint restating the state we resumed from.
+    // anchor key restating the state we resumed from, then deltas. The
+    // restored detector has nothing pending, so the first delta after
+    // the anchor starts from it.
     persist::RecordWriter journal{checkpointSink};
     const auto appendRecord = [&](std::span<const std::byte> payload) {
         journal.append(payload);
         checkpointSink.flush();
     };
-    const auto appendCheckpoint = [&](std::uint64_t eventIndex) {
+    const auto appendCheckpoint = [&](std::uint64_t eventIndex, bool key) {
         obs::ScopedTimer timer{metrics_,
                                "stream.consumer.checkpoint_seconds"};
         auto span = obs::Trace::enter(trace_, "stream.consumer.checkpoint");
         persist::ByteWriter payload;
-        payload.u8(kCheckpointRecord);
+        payload.u8(key ? kKeyCheckpointRecord : kDeltaCheckpointRecord);
         payload.u64(eventIndex);
-        detector.encodeState(payload);
+        if (key) {
+            detector.encodeState(payload);
+        } else {
+            detector.encodeDelta(payload);
+        }
         appendRecord(payload.bytes());
         if (metrics_ != nullptr) {
             metrics_->counter("stream.consumer.checkpoints").add();
@@ -155,7 +180,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
         appendRecord(payload.bytes());
     }
     if (startIndex > 0) {
-        appendCheckpoint(startIndex);
+        appendCheckpoint(startIndex, true);
     }
 
     Outcome outcome;
@@ -180,7 +205,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
             ++processedThisRun;
             if ((i + 1 - startIndex) % stream_.checkpointEveryEvents ==
                 0) {
-                appendCheckpoint(i + 1);
+                appendCheckpoint(i + 1, false);
             }
         }
         if (trace_ != nullptr) {
@@ -189,7 +214,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
     }
     // Closing checkpoint: a run that completed leaves a journal any
     // successor can resume from trivially.
-    appendCheckpoint(view.events.size());
+    appendCheckpoint(view.events.size(), false);
     if (metrics_ != nullptr) {
         metrics_->counter("stream.consumer.events").add(processedThisRun);
     }

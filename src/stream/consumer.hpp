@@ -13,8 +13,8 @@
 namespace aio::stream {
 
 /// Crash-resumable consumer: replays an event log through an
-/// OnlineRadarDetector, checkpointing (offset, detector state) into its
-/// own CRC-framed journal every StreamConfig::checkpointEveryEvents
+/// OnlineRadarDetector, checkpointing (offset, detector changes) into
+/// its own CRC-framed journal every StreamConfig::checkpointEveryEvents
 /// accepted events. A consumer killed at *any* instant resumes from the
 /// last durable checkpoint of its journal, reprocesses the uncovered
 /// suffix, and converges to byte-identical detections, alerts and
@@ -22,11 +22,19 @@ namespace aio::stream {
 /// resume contract, proven by the same boundary-sweep harness.
 ///
 /// Journal layout: one header record {formatVersion, configDigest,
-/// resumedAtEvent}, then checkpoint records {eventIndex, detectorState}.
-/// A continuation journal (resumedAtEvent > 0) opens with an *anchor*
-/// checkpoint restating the state it resumed from, so the chain of
-/// journals is self-contained: a continuation whose anchor is missing is
-/// refused as corrupt rather than replayed on faith.
+/// resumedAtEvent}, then checkpoint records of two kinds. A *key*
+/// {eventIndex, detectorState} holds the full detector state
+/// (OnlineRadarDetector::encodeState); a *delta* {eventIndex,
+/// detectorDelta} holds only what changed since the previous checkpoint
+/// (OnlineRadarDetector::encodeDelta) — about 4 KB against a 62 KB key
+/// on a 30-day window. A fresh journal holds deltas only, starting from
+/// the empty detector. A continuation journal (resumedAtEvent > 0)
+/// opens with an *anchor* key restating the state it resumed from, then
+/// deltas, so the chain of journals is self-contained: a continuation
+/// whose anchor is missing, or that holds a delta before it, is refused
+/// as corrupt rather than replayed on faith. Resume rebuilds the state
+/// from the last key (the empty detector when there is none) plus every
+/// later delta, in order, so key-only journals resume too.
 class StreamConsumer {
 public:
     /// `metrics` / `trace` (optional, not owned) receive
@@ -60,7 +68,8 @@ public:
     /// Throws net::PreconditionError when the log or checkpoint journal
     /// was written under a different configuration, and
     /// net::CorruptionError for structural damage (CRC failures, a
-    /// continuation journal missing its anchor).
+    /// continuation journal missing its anchor, a delta that does not
+    /// fit the state before it).
     [[nodiscard]] Outcome
     run(std::span<const std::byte> logBytes,
         persist::ByteSink& checkpointSink,
@@ -73,8 +82,11 @@ private:
         std::uint64_t digest = 0;
         std::uint64_t resumedAtEvent = 0;
         std::optional<std::uint64_t> checkpointEvent;
-        /// Points into the replayed journal's bytes.
-        std::span<const std::byte> checkpointState;
+        /// The last key checkpoint's state, if any, and the delta
+        /// bodies after it in journal order: views into the replayed
+        /// journal's bytes.
+        std::optional<std::span<const std::byte>> key;
+        std::vector<std::span<const std::byte>> deltas;
     };
 
     [[nodiscard]] ReplayedJournal

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "netbase/error.hpp"
 #include "netbase/region.hpp"
@@ -12,6 +13,10 @@ namespace aio::stream {
 namespace {
 
 constexpr std::uint32_t kStateVersion = 1;
+
+/// Encoded size of OnlineRadarDetector::encodeScalars: any, maxSlot,
+/// sealedThrough, runStart, runLen, alertOpen and four u64 counters.
+constexpr std::size_t kScalarBytes = 1 + 4 + 8 + 8 + 4 + 1 + 4 * 8;
 
 /// Lag buckets in days: fractions of the watermark up to "hopeless".
 constexpr std::array<double, 6> kLagBoundsDays{0.25, 0.5, 1.0,
@@ -67,6 +72,7 @@ void OnlineRadarDetector::laneIngest(Lane& lane,
     AIO_EXPECTS(event.slot < slotCount_,
                 "event slot lies beyond the configured window");
     ++lane.events;
+    lane.touched = true;
     // Lag relative to the country's own frontier, before this event
     // moves it: a pure function of per-country event order, so it is
     // identical under sequential and sharded ingestion.
@@ -91,6 +97,7 @@ void OnlineRadarDetector::laneIngest(Lane& lane,
     }
     lane.present[event.slot] = 1;
     lane.values[event.slot] = event.value;
+    lane.newSlots.push_back(event.slot);
     if (!lane.any || event.slot > lane.maxSlot) {
         lane.maxSlot = event.slot;
         lane.any = true;
@@ -308,13 +315,69 @@ std::vector<std::byte> OnlineRadarDetector::encodeState() const {
     return {writer.bytes().begin(), writer.bytes().end()};
 }
 
+void OnlineRadarDetector::encodeScalars(persist::ByteWriter& writer,
+                                        const Lane& lane) {
+    writer.boolean(lane.any);
+    writer.u32(lane.maxSlot);
+    writer.u64(lane.sealedThrough);
+    writer.u64(lane.runStart);
+    writer.i32(lane.runLen);
+    writer.boolean(lane.alertOpen);
+    writer.u64(lane.events);
+    writer.u64(lane.duplicateSlots);
+    writer.u64(lane.lateDropped);
+    writer.u64(lane.sealedGaps);
+}
+
+void OnlineRadarDetector::decodeScalars(persist::ByteReader& reader,
+                                        Lane& lane) const {
+    lane.any = reader.boolean();
+    lane.maxSlot = reader.u32();
+    lane.sealedThrough = reader.u64();
+    lane.runStart = reader.u64();
+    lane.runLen = reader.i32();
+    lane.alertOpen = reader.boolean();
+    lane.events = reader.u64();
+    lane.duplicateSlots = reader.u64();
+    lane.lateDropped = reader.u64();
+    lane.sealedGaps = reader.u64();
+    lane.published = laneCounts(lane);
+    if (lane.sealedThrough > slotCount_ ||
+        (lane.any && lane.maxSlot >= slotCount_)) {
+        throw net::CorruptionError{
+            "detector checkpoint lane state is out of range"};
+    }
+}
+
+void OnlineRadarDetector::encodeAlerts(persist::ByteWriter& writer,
+                                       const Lane& lane, std::size_t from) {
+    writer.u32(static_cast<std::uint32_t>(lane.alerts.size() - from));
+    for (std::size_t a = from; a < lane.alerts.size(); ++a) {
+        writer.f64(lane.alerts[a].startDay);
+        writer.f64(lane.alerts[a].detectedAtDay);
+    }
+}
+
+void OnlineRadarDetector::decodeAlerts(persist::ByteReader& reader,
+                                       Lane& lane) {
+    const std::uint32_t alertCount = reader.u32();
+    for (std::uint32_t a = 0; a < alertCount; ++a) {
+        OnlineAlert alert;
+        alert.country = lane.country;
+        alert.startDay = reader.f64();
+        alert.detectedAtDay = reader.f64();
+        lane.alerts.push_back(std::move(alert));
+    }
+    lane.journalledAlerts = lane.alerts.size();
+}
+
 void OnlineRadarDetector::encodeState(persist::ByteWriter& writer) const {
     // The exact size of what follows: the fixed header, then per lane
     // its name, scalars, slot arrays and alerts.
     std::size_t size = 4 + 8 + 8 + 4;
     for (const auto& [country, lane] : lanes_) {
-        size += 4 + country.size() + 1 + 4 + 8 + 8 + 4 + 1 + 4 * 8 +
-                slotCount_ * (1 + 8) + 4 + lane.alerts.size() * 2 * 8;
+        size += 4 + country.size() + kScalarBytes + slotCount_ * (1 + 8) +
+                4 + lane.alerts.size() * 2 * 8;
     }
     writer.reserve(size);
     writer.u32(kStateVersion);
@@ -323,23 +386,10 @@ void OnlineRadarDetector::encodeState(persist::ByteWriter& writer) const {
     writer.u32(static_cast<std::uint32_t>(lanes_.size()));
     for (const auto& [country, lane] : lanes_) {
         writer.str(country);
-        writer.boolean(lane.any);
-        writer.u32(lane.maxSlot);
-        writer.u64(lane.sealedThrough);
-        writer.u64(lane.runStart);
-        writer.i32(lane.runLen);
-        writer.boolean(lane.alertOpen);
-        writer.u64(lane.events);
-        writer.u64(lane.duplicateSlots);
-        writer.u64(lane.lateDropped);
-        writer.u64(lane.sealedGaps);
+        encodeScalars(writer, lane);
         writer.raw(std::as_bytes(std::span{lane.present}));
         writer.f64s(lane.values);
-        writer.u32(static_cast<std::uint32_t>(lane.alerts.size()));
-        for (const OnlineAlert& alert : lane.alerts) {
-            writer.f64(alert.startDay);
-            writer.f64(alert.detectedAtDay);
-        }
+        encodeAlerts(writer, lane, 0);
     }
 }
 
@@ -367,30 +417,12 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
         std::string country = reader.str();
         Lane lane;
         lane.country = country;
-        lane.any = reader.boolean();
-        lane.maxSlot = reader.u32();
-        lane.sealedThrough = reader.u64();
-        lane.runStart = reader.u64();
-        lane.runLen = reader.i32();
-        lane.alertOpen = reader.boolean();
-        lane.events = reader.u64();
-        lane.duplicateSlots = reader.u64();
-        lane.lateDropped = reader.u64();
-        lane.sealedGaps = reader.u64();
-        lane.published = laneCounts(lane);
-        lane.values.assign(slotCount_, 0.0);
-        lane.present.assign(slotCount_, 0);
-        for (std::size_t s = 0; s < slotCount_; ++s) {
-            lane.present[s] = reader.u8();
-        }
-        for (std::size_t s = 0; s < slotCount_; ++s) {
-            lane.values[s] = reader.f64();
-        }
-        if (lane.sealedThrough > slotCount_ ||
-            (lane.any && lane.maxSlot >= slotCount_)) {
-            throw net::CorruptionError{
-                "detector checkpoint lane state is out of range"};
-        }
+        decodeScalars(reader, lane);
+        lane.present.resize(slotCount_);
+        std::memcpy(lane.present.data(), reader.raw(slotCount_).data(),
+                    slotCount_);
+        lane.values.resize(slotCount_);
+        reader.f64s(lane.values);
         // The sorted sealed sample is derived state: rebuild instead of
         // trusting (or shipping) a second copy of the same numbers.
         for (std::size_t s = 0; s < lane.sealedThrough; ++s) {
@@ -399,14 +431,7 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
             }
         }
         std::ranges::sort(lane.sortedSealed);
-        const std::uint32_t alertCount = reader.u32();
-        for (std::uint32_t a = 0; a < alertCount; ++a) {
-            OnlineAlert alert;
-            alert.country = country;
-            alert.startDay = reader.f64();
-            alert.detectedAtDay = reader.f64();
-            lane.alerts.push_back(std::move(alert));
-        }
+        decodeAlerts(reader, lane);
         lanes.emplace(std::move(country), std::move(lane));
     }
     if (!reader.atEnd()) {
@@ -417,6 +442,84 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
     // published): a resumed process reports the work it does, not the
     // work the crashed process already reported.
     lanes_ = std::move(lanes);
+}
+
+void OnlineRadarDetector::encodeDelta(persist::ByteWriter& writer) {
+    std::size_t size = 4;
+    std::uint32_t touched = 0;
+    for (const auto& [country, lane] : lanes_) {
+        if (lane.touched) {
+            ++touched;
+            size += 4 + country.size() + kScalarBytes + 4 +
+                    lane.newSlots.size() * (4 + 8) + 4 +
+                    (lane.alerts.size() - lane.journalledAlerts) * 2 * 8;
+        }
+    }
+    writer.reserve(size);
+    writer.u32(touched);
+    for (auto& [country, lane] : lanes_) {
+        if (!lane.touched) {
+            continue;
+        }
+        writer.str(country);
+        encodeScalars(writer, lane);
+        writer.u32(static_cast<std::uint32_t>(lane.newSlots.size()));
+        for (const std::uint32_t slot : lane.newSlots) {
+            writer.u32(slot);
+            writer.f64(lane.values[slot]);
+        }
+        encodeAlerts(writer, lane, lane.journalledAlerts);
+        lane.touched = false;
+        lane.newSlots.clear();
+        lane.journalledAlerts = lane.alerts.size();
+    }
+}
+
+void OnlineRadarDetector::applyDelta(std::span<const std::byte> bytes) {
+    persist::ByteReader reader{bytes};
+    const std::uint32_t laneCount = reader.u32();
+    for (std::uint32_t i = 0; i < laneCount; ++i) {
+        Lane& lane = laneFor(reader.str());
+        const std::size_t sealedBefore = lane.sealedThrough;
+        decodeScalars(reader, lane);
+        if (lane.sealedThrough < sealedBefore) {
+            throw net::CorruptionError{
+                "detector delta moves a lane's sealed frontier back"};
+        }
+        const std::uint32_t slotCount = reader.u32();
+        for (std::uint32_t n = 0; n < slotCount; ++n) {
+            const std::uint32_t slot = reader.u32();
+            const double value = reader.f64();
+            // A slot below the old sealed frontier was sealed without
+            // it, and the live detector drops such late events.
+            if (slot >= slotCount_ || slot < sealedBefore) {
+                throw net::CorruptionError{
+                    "detector delta writes slot " + std::to_string(slot) +
+                    " outside the lane's open window"};
+            }
+            if (lane.present[slot] != 0) {
+                throw net::CorruptionError{
+                    "detector delta rewrites present slot " +
+                    std::to_string(slot)};
+            }
+            lane.present[slot] = 1;
+            lane.values[slot] = value;
+        }
+        // Extend the derived sorted sample the way sealLane does: the
+        // newly sealed slots, in slot order.
+        for (std::size_t s = sealedBefore; s < lane.sealedThrough; ++s) {
+            if (lane.present[s] != 0) {
+                const double value = lane.values[s];
+                lane.sortedSealed.insert(
+                    std::ranges::lower_bound(lane.sortedSealed, value),
+                    value);
+            }
+        }
+        decodeAlerts(reader, lane);
+    }
+    if (!reader.atEnd()) {
+        throw net::CorruptionError{"detector delta carries trailing bytes"};
+    }
 }
 
 } // namespace aio::stream

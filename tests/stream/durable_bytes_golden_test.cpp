@@ -82,7 +82,7 @@ TEST(DurableBytesGolden, CheckpointJournal) {
     persist::MemorySink journal;
     const auto outcome = consumer().run(faultedLog(), journal);
     ASSERT_TRUE(outcome.completed);
-    expectPinned(journal.bytes(), 784187, 0x309f4b2d619f407bULL);
+    expectPinned(journal.bytes(), 139139, 0x3aa46cf06fac0fd1ULL);
 }
 
 TEST(DurableBytesGolden, ContinuationJournal) {
@@ -92,7 +92,7 @@ TEST(DurableBytesGolden, ContinuationJournal) {
     const auto outcome =
         consumer().run(faultedLog(), continuation, killed.bytes());
     ASSERT_TRUE(outcome.completed);
-    expectPinned(continuation.bytes(), 463413, 0xf915efe1c8f71624ULL);
+    expectPinned(continuation.bytes(), 101441, 0x8075426df25298ccULL);
 }
 
 TEST(DurableBytesGolden, DetectorState) {
