@@ -667,9 +667,9 @@ BENCHMARK(BM_StreamIngest)
     ->Unit(benchmark::kMillisecond);
 
 void BM_StreamCheckpointWrite(benchmark::State& state) {
-    // One consumer checkpoint: encode the full detector state straight
-    // into the record payload and append it CRC-framed, the way
-    // StreamConsumer journals mid-run.
+    // One key checkpoint: encode the full detector state straight into
+    // the record payload and append it CRC-framed, the way a resumed
+    // StreamConsumer journals its anchor.
     stream::OnlineRadarDetector detector{
         outage::RadarConfig{}, stream::StreamConfig{}, 30.0};
     detector.ingestAll(streamEvents());
@@ -693,6 +693,52 @@ void BM_StreamCheckpointWrite(benchmark::State& state) {
                                              : "crc32c: table");
 }
 BENCHMARK(BM_StreamCheckpointWrite)->Unit(benchmark::kMicrosecond);
+
+void BM_StreamCheckpointDelta(benchmark::State& state) {
+    // The checkpoint StreamConsumer writes every 64 events: a delta of
+    // what those events changed, appended CRC-framed. The window is fed
+    // in time order, as a live stream delivers it, so each delta spans
+    // every country (emission order is country by country and would
+    // touch one or two lanes). Ingesting the next 64 events is untimed;
+    // at the window's end the detector starts over, untimed too.
+    auto events = streamEvents();
+    std::ranges::stable_sort(events, {}, &stream::MeasurementEvent::slot);
+    const std::uint64_t every = stream::StreamConfig{}.checkpointEveryEvents;
+    stream::OnlineRadarDetector detector{outage::RadarConfig{},
+                                         stream::StreamConfig{}, 30.0};
+    persist::MemorySink sink;
+    persist::RecordWriter journal{sink};
+    std::size_t next = 0;
+    std::int64_t deltaBytes = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        if (next + every > events.size()) {
+            detector = stream::OnlineRadarDetector{
+                outage::RadarConfig{}, stream::StreamConfig{}, 30.0};
+            next = 0;
+        }
+        for (const std::size_t end = next + every; next < end; ++next) {
+            detector.ingest(events[next]);
+        }
+        state.ResumeTiming();
+        persist::ByteWriter payload;
+        payload.u8(3); // delta checkpoint record type
+        payload.u64(next);
+        detector.encodeDelta(payload);
+        deltaBytes += static_cast<std::int64_t>(payload.bytes().size());
+        journal.append(payload.bytes());
+        benchmark::DoNotOptimize(sink.bytes().data());
+        benchmark::ClobberMemory();
+        if (sink.size() > (64U << 20)) {
+            sink.clear();
+        }
+    }
+    state.SetBytesProcessed(deltaBytes);
+    state.SetLabel(std::string{net::crc32cUsesHardware() ? "crc32c: sse4.2"
+                                                         : "crc32c: table"} +
+                   ", " + std::to_string(every) + " events per delta");
+}
+BENCHMARK(BM_StreamCheckpointDelta)->Unit(benchmark::kMicrosecond);
 
 void BM_StreamResume(benchmark::State& state) {
     // Crash resume end to end: replay the dead run's journal, restore
