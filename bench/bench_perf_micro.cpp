@@ -631,10 +631,9 @@ BENCHMARK(BM_ObservedSupervisorCampaign)
     ->Unit(benchmark::kMillisecond);
 
 // ---- streaming ingestion / checkpoint / resume ----------------------
-// The streaming subsystem's cost model: country-sharded ingestion
-// throughput vs thread count (byte-identical results at every count, so
-// the speedup is free), the price of one consumer checkpoint, and the
-// restore-plus-replay cost of a crash resume.
+// The streaming subsystem's cost model: sequential ingestion
+// throughput, the price of one consumer checkpoint (full and delta),
+// and the restore-plus-replay cost of a crash resume.
 
 const std::vector<stream::MeasurementEvent>& streamEvents() {
     static const std::vector<stream::MeasurementEvent> events = [] {
@@ -646,30 +645,41 @@ const std::vector<stream::MeasurementEvent>& streamEvents() {
     return events;
 }
 
+/// The same window in time order, as a live stream delivers it: every
+/// run of consecutive events spans all countries, so each delta
+/// checkpoint touches every lane. Emission order is country by country
+/// and would touch one or two.
+const std::vector<stream::MeasurementEvent>& timeOrderedStreamEvents() {
+    static const std::vector<stream::MeasurementEvent> events = [] {
+        auto sorted = streamEvents();
+        std::ranges::stable_sort(sorted, {},
+                                 &stream::MeasurementEvent::slot);
+        return sorted;
+    }();
+    return events;
+}
+
 void BM_StreamIngest(benchmark::State& state) {
     const auto& events = streamEvents();
-    exec::WorkerPool pool{static_cast<int>(state.range(0))};
     for (auto _ : state) {
         stream::OnlineRadarDetector detector{
             outage::RadarConfig{}, stream::StreamConfig{}, 30.0};
-        detector.ingestSharded(events, pool);
+        detector.ingestAll(events);
         benchmark::DoNotOptimize(detector.eventsIngested());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(events.size()));
-    state.SetLabel(std::to_string(state.range(0)) + " threads, " +
-                   std::to_string(events.size()) + " events");
+    state.SetLabel(std::to_string(events.size()) + " events");
 }
-BENCHMARK(BM_StreamIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StreamIngest)->Unit(benchmark::kMillisecond);
 
 void BM_StreamCheckpointWrite(benchmark::State& state) {
     // One key checkpoint: encode the full detector state straight into
     // the record payload and append it CRC-framed, the way a resumed
-    // StreamConsumer journals its anchor.
+    // StreamConsumer journals its anchor. The sink is emptied (capacity
+    // kept) before each append, so a short run times the checkpoint,
+    // not the sink's growth; a journal's growth is priced end to end by
+    // perfbench's outage workload.
     stream::OnlineRadarDetector detector{
         outage::RadarConfig{}, stream::StreamConfig{}, 30.0};
     detector.ingestAll(streamEvents());
@@ -677,15 +687,15 @@ void BM_StreamCheckpointWrite(benchmark::State& state) {
     persist::RecordWriter journal{sink};
     std::int64_t recordBytes = 0;
     for (auto _ : state) {
+        sink.clear();
         persist::ByteWriter payload;
         payload.u8(2); // checkpoint record type
         payload.u64(detector.eventsIngested());
         detector.encodeState(payload);
         recordBytes = static_cast<std::int64_t>(payload.bytes().size());
         journal.append(payload.bytes());
-        if (sink.size() > (64U << 20)) {
-            sink.clear();
-        }
+        benchmark::DoNotOptimize(sink.bytes().data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * recordBytes);
@@ -696,13 +706,12 @@ BENCHMARK(BM_StreamCheckpointWrite)->Unit(benchmark::kMicrosecond);
 
 void BM_StreamCheckpointDelta(benchmark::State& state) {
     // The checkpoint StreamConsumer writes every 64 events: a delta of
-    // what those events changed, appended CRC-framed. The window is fed
-    // in time order, as a live stream delivers it, so each delta spans
-    // every country (emission order is country by country and would
-    // touch one or two lanes). Ingesting the next 64 events is untimed;
-    // at the window's end the detector starts over, untimed too.
-    auto events = streamEvents();
-    std::ranges::stable_sort(events, {}, &stream::MeasurementEvent::slot);
+    // what those events changed, appended CRC-framed, over the
+    // time-ordered window. Ingesting the next 64 events and emptying the
+    // sink (capacity kept) are untimed; at the window's end the detector
+    // starts over, untimed too. A journal's growth is priced end to end
+    // by perfbench's outage workload.
+    const auto& events = timeOrderedStreamEvents();
     const std::uint64_t every = stream::StreamConfig{}.checkpointEveryEvents;
     stream::OnlineRadarDetector detector{outage::RadarConfig{},
                                          stream::StreamConfig{}, 30.0};
@@ -720,6 +729,7 @@ void BM_StreamCheckpointDelta(benchmark::State& state) {
         for (const std::size_t end = next + every; next < end; ++next) {
             detector.ingest(events[next]);
         }
+        sink.clear();
         state.ResumeTiming();
         persist::ByteWriter payload;
         payload.u8(3); // delta checkpoint record type
@@ -729,9 +739,6 @@ void BM_StreamCheckpointDelta(benchmark::State& state) {
         journal.append(payload.bytes());
         benchmark::DoNotOptimize(sink.bytes().data());
         benchmark::ClobberMemory();
-        if (sink.size() > (64U << 20)) {
-            sink.clear();
-        }
     }
     state.SetBytesProcessed(deltaBytes);
     state.SetLabel(std::string{net::crc32cUsesHardware() ? "crc32c: sse4.2"
@@ -743,12 +750,14 @@ BENCHMARK(BM_StreamCheckpointDelta)->Unit(benchmark::kMicrosecond);
 void BM_StreamResume(benchmark::State& state) {
     // Crash resume end to end: replay the dead run's journal, restore
     // the last checkpoint and reprocess the uncovered half of the log.
+    // The log holds the time-ordered window, so the replayed deltas
+    // touch every lane, as a live stream's do.
     struct Setup {
         std::vector<std::byte> log;
         std::vector<std::byte> journal;
     };
     static const Setup setup = [] {
-        const auto& events = streamEvents();
+        const auto& events = timeOrderedStreamEvents();
         const outage::RadarConfig radar;
         const stream::StreamConfig cfg;
         persist::MemorySink logSink;
@@ -776,7 +785,8 @@ void BM_StreamResume(benchmark::State& state) {
             consumer.run(setup.log, continuation, setup.journal));
     }
     state.SetLabel("resume at 1/2 of " +
-                   std::to_string(streamEvents().size()) + " events");
+                   std::to_string(timeOrderedStreamEvents().size()) +
+                   " events");
 }
 BENCHMARK(BM_StreamResume)->Unit(benchmark::kMillisecond);
 

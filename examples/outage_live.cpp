@@ -8,18 +8,15 @@
 // consumed by a checkpointing consumer that is killed mid-run and
 // resumed from its journal.
 //
-// Three guarantees are demonstrated and checked:
+// Two guarantees are demonstrated and checked:
 //   1. the crashed-and-resumed consumer converges to the exact Outcome
 //      of an uninterrupted run;
 //   2. the online detections equal the batch RadarMonitor byte for byte
 //      (the differential guarantee — faults within the watermark cost
-//      nothing);
-//   3. country-sharded parallel ingestion is byte-identical at 1, 2, 8
-//      and argv[1] threads.
+//      nothing).
 // Under the injected ManualClock the full output is itself byte-identical
-// whichever worker-pool width ran the sharded pass.
+// from run to run.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "netbase/error.hpp"
@@ -35,14 +32,8 @@
 
 using namespace aio;
 
-int main(int argc, char** argv) {
+int main() {
     try {
-        const int threads = argc > 1 ? std::atoi(argv[1]) : 1;
-        if (threads < 1) {
-            std::cerr << "usage: outage_live [threads >= 1]\n";
-            return 1;
-        }
-
         const obs::ManualClock clock;
         obs::MetricsRegistry metrics{&clock};
         obs::Trace trace{&clock};
@@ -205,26 +196,6 @@ int main(int argc, char** argv) {
                       << outcome.detections.size() - shown << " more\n";
         }
 
-        // --- thread-invariance of sharded ingestion ---------------------
-        const auto logEvents =
-            stream::readEventLog(logSink.bytes()).events;
-        stream::OnlineRadarDetector sequential{radarCfg, streamCfg,
-                                               windowDays};
-        sequential.ingestAll(logEvents);
-        const auto sequentialState = sequential.encodeState();
-        bool invariant = true;
-        for (const int width : {1, 2, 8, threads}) {
-            stream::OnlineRadarDetector sharded{radarCfg, streamCfg,
-                                                windowDays};
-            exec::WorkerPool pool{width};
-            sharded.ingestSharded(logEvents, pool);
-            invariant =
-                invariant && sharded.encodeState() == sequentialState;
-        }
-        std::cout << "\nSharded ingestion byte-identical across 1/2/8/N "
-                     "threads: "
-                  << (invariant ? "yes" : "NO — BUG") << "\n";
-
         // --- beyond the watermark: honesty instead of silence -----------
         resilience::StreamFaultConfig lateCfg = faultCfg;
         lateCfg.lateProb = 0.1;
@@ -244,7 +215,7 @@ int main(int argc, char** argv) {
         lateDetector.ingestAll(
             stream::readEventLog(lateSink.bytes()).events);
         const auto lateReport = lateDetector.degradation();
-        std::cout << "With 3-day lateness injected: "
+        std::cout << "\nWith 3-day lateness injected: "
                   << lateReport.lateDropped
                   << " events arrived past their watermark ("
                   << lateReport.lateByCountry.size()
@@ -257,7 +228,7 @@ int main(int argc, char** argv) {
         std::cout << "\n=== trace ===\n" << trace.json() << "\n";
 
         const bool ok = outcome == reference &&
-                        outcome.detections == batch && invariant &&
+                        outcome.detections == batch &&
                         !lateReport.lossless();
         return ok ? 0 : 1;
     } catch (const net::AioError& error) {

@@ -44,14 +44,14 @@ void EventLogWriter::append(const MeasurementEvent& event) {
 
 void EventLogWriter::appendRecord(std::span<const std::byte> payload) {
     obs::ScopedTimer timer{appendSeconds_, clock_};
+    const std::uint64_t before = writer_.bytesWritten();
     writer_.append(payload);
     // Same durability contract as CampaignJournal: the record is only
     // real once it survives a crash, so flush before returning.
     sink_->flush();
     if (appends_ != nullptr) {
         appends_->add();
-        // framing: len + lenCrc + payloadCrc
-        bytesWritten_->add(payload.size() + 12);
+        bytesWritten_->add(writer_.bytesWritten() - before);
     }
 }
 
@@ -86,7 +86,6 @@ EventLogView readEventLog(std::span<const std::byte> bytes) {
                     "event log starts with an event record, not a header"};
             }
             view.events.push_back(decodeEvent(reader));
-            view.boundaries.push_back(scan.boundaries[i]);
         } else {
             throw net::CorruptionError{"event log holds unknown record type " +
                                        std::to_string(type)};

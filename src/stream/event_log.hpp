@@ -38,11 +38,6 @@ public:
     /// Appends one event record and flushes it to durability.
     void append(const MeasurementEvent& event);
 
-    /// Records written including the header.
-    [[nodiscard]] std::uint64_t recordCount() const {
-        return writer_.recordCount();
-    }
-
 private:
     void appendRecord(std::span<const std::byte> payload);
 
@@ -55,13 +50,10 @@ private:
     obs::Counter* bytesWritten_ = nullptr;
 };
 
-/// An event log read back from bytes. `boundaries[i]` is the byte offset
-/// just past event i's record — the positions the crash sweep enumerates
-/// and the offsets consumer checkpoints name.
+/// An event log read back from bytes.
 struct EventLogView {
     EventLogHeader header;
     std::vector<MeasurementEvent> events;
-    std::vector<std::size_t> boundaries;
     bool tornTail = false;
 };
 

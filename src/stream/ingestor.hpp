@@ -16,9 +16,7 @@ namespace aio::stream {
 /// batch drains) and per-probe at-least-once dedupe before reaching the
 /// durable event log. The ring is modelled deterministically — one
 /// logical producer, batch drains — so stall counts are a pure function
-/// of the delivery schedule, not of scheduler timing; the parallelism
-/// budget of this subsystem is spent on the detector side
-/// (OnlineRadarDetector::ingestSharded), where it cannot perturb results.
+/// of the delivery schedule, not of scheduler timing.
 ///
 /// Dedupe state per probe: per-session sets of seen sequence numbers
 /// (each bounded by StreamConfig::dedupeWindow — older seqs are

@@ -22,10 +22,12 @@ constexpr std::size_t kScalarBytes = 1 + 4 + 8 + 8 + 4 + 1 + 4 * 8;
 constexpr std::array<double, 6> kLagBoundsDays{0.25, 0.5, 1.0,
                                                2.0,  4.0, 8.0};
 
-/// Registry counters fed by laneCounts(), in its order.
-constexpr std::array<const char*, 4> kCounterNames{
-    "stream.detector.events", "stream.detector.late_dropped",
-    "stream.detector.duplicate_slots", "stream.detector.sealed_gaps"};
+/// Adds one to a held registry counter; null without a registry.
+void count(obs::Counter* counter) {
+    if (counter != nullptr) {
+        counter->add();
+    }
+}
 
 /// Median of an already-sorted sample; matches net::median's
 /// rank-interpolation for the 50th percentile.
@@ -43,7 +45,7 @@ OnlineRadarDetector::OnlineRadarDetector(outage::RadarConfig radar,
                                          StreamConfig stream,
                                          double windowDays,
                                          obs::MetricsRegistry* metrics)
-    : radar_(radar), stream_(stream), windowDays_(windowDays),
+    : radar_(radar),
       slotCount_(static_cast<std::size_t>(windowDays *
                                           radar.samplesPerDay)),
       watermarkSlots_(stream.watermarkDays * radar.samplesPerDay),
@@ -71,28 +73,38 @@ void OnlineRadarDetector::laneIngest(Lane& lane,
                                      const MeasurementEvent& event) {
     AIO_EXPECTS(event.slot < slotCount_,
                 "event slot lies beyond the configured window");
+    if (metrics_ != nullptr && lagDays_ == nullptr) {
+        lagDays_ =
+            &metrics_->histogram("stream.detector.lag_days", kLagBoundsDays);
+        events_ = &metrics_->counter("stream.detector.events");
+        lateDropped_ = &metrics_->counter("stream.detector.late_dropped");
+        duplicateSlots_ =
+            &metrics_->counter("stream.detector.duplicate_slots");
+        sealedGaps_ = &metrics_->counter("stream.detector.sealed_gaps");
+    }
     ++lane.events;
+    count(events_);
     lane.touched = true;
-    // Lag relative to the country's own frontier, before this event
-    // moves it: a pure function of per-country event order, so it is
-    // identical under sequential and sharded ingestion.
-    const double lagDays =
-        lane.any && lane.maxSlot > event.slot
-            ? static_cast<double>(lane.maxSlot - event.slot) /
-                  radar_.samplesPerDay
-            : 0.0;
-    if (metrics_ != nullptr) {
-        lane.pendingLags.push_back(lagDays);
+    if (lagDays_ != nullptr) {
+        // Lag relative to the country's own frontier, before this event
+        // moves it: a pure function of per-country event order.
+        lagDays_->record(lane.any && lane.maxSlot > event.slot
+                             ? static_cast<double>(lane.maxSlot -
+                                                   event.slot) /
+                                   radar_.samplesPerDay
+                             : 0.0);
     }
     if (event.slot < lane.sealedThrough) {
         // Behind the watermark: the slot's fate is already decided.
         // Merging now would make results depend on delivery order, so
         // the event is counted and dropped — the honesty ledger.
         ++lane.lateDropped;
+        count(lateDropped_);
         return;
     }
     if (lane.present[event.slot] != 0) {
         ++lane.duplicateSlots;
+        count(duplicateSlots_);
         return;
     }
     lane.present[event.slot] = 1;
@@ -118,6 +130,7 @@ void OnlineRadarDetector::sealLane(Lane& lane) {
         if (lane.present[slot] == 0) {
             // Sealed with no sample: a permanent hole in the series.
             ++lane.sealedGaps;
+            count(sealedGaps_);
             lane.runLen = 0;
             lane.alertOpen = false;
         } else {
@@ -156,93 +169,15 @@ void OnlineRadarDetector::sealLane(Lane& lane) {
     }
 }
 
-std::array<std::uint64_t, 4>
-OnlineRadarDetector::laneCounts(const Lane& lane) {
-    return {lane.events, lane.lateDropped, lane.duplicateSlots,
-            lane.sealedGaps};
-}
-
-void OnlineRadarDetector::publishPending(Lane* lane) {
-    if (metrics_ == nullptr) {
-        return;
-    }
-    if (lagDays_ == nullptr) {
-        lagDays_ =
-            &metrics_->histogram("stream.detector.lag_days", kLagBoundsDays);
-        for (std::size_t i = 0; i < kCounterNames.size(); ++i) {
-            counters_[i] = &metrics_->counter(kCounterNames[i]);
-        }
-    }
-    const auto publish = [&](Lane& one) {
-        for (const double sample : one.pendingLags) {
-            lagDays_->record(sample);
-        }
-        one.pendingLags.clear();
-        const auto now = laneCounts(one);
-        for (std::size_t i = 0; i < now.size(); ++i) {
-            if (now[i] != one.published[i]) {
-                counters_[i]->add(now[i] - one.published[i]);
-            }
-        }
-        one.published = now;
-    };
-    if (lane != nullptr) {
-        publish(*lane);
-        return;
-    }
-    for (auto& [country, each] : lanes_) {
-        publish(each);
-    }
-}
-
 void OnlineRadarDetector::ingest(const MeasurementEvent& event) {
-    Lane& lane = laneFor(event.country);
-    laneIngest(lane, event);
-    // Only this lane moved, so only its buffers and counters can hold
-    // anything unpublished.
-    publishPending(&lane);
+    laneIngest(laneFor(event.country), event);
 }
 
 void OnlineRadarDetector::ingestAll(
     std::span<const MeasurementEvent> events) {
     for (const MeasurementEvent& event : events) {
-        laneIngest(laneFor(event.country), event);
+        ingest(event);
     }
-    publishPending();
-}
-
-void OnlineRadarDetector::ingestSharded(
-    std::span<const MeasurementEvent> events, exec::WorkerPool& pool) {
-    // Group by country, preserving each country's internal order. Lanes
-    // are created here, sequentially — the parallel phase only ever
-    // touches pre-existing, disjoint lanes.
-    std::vector<std::pair<Lane*, std::vector<const MeasurementEvent*>>>
-        groups;
-    std::map<std::string_view, std::size_t> groupOf;
-    for (const MeasurementEvent& event : events) {
-        const auto it = groupOf.find(event.country);
-        std::size_t index;
-        if (it == groupOf.end()) {
-            index = groups.size();
-            groups.emplace_back(&laneFor(event.country),
-                                std::vector<const MeasurementEvent*>{});
-            groupOf.emplace(groups[index].first->country, index);
-        } else {
-            index = it->second;
-        }
-        groups[index].second.push_back(&event);
-    }
-    pool.parallelFor(groups.size(),
-                     [&](std::size_t index, std::size_t /*lane*/) {
-                         auto& [lanePtr, group] = groups[index];
-                         for (const MeasurementEvent* event : group) {
-                             laneIngest(*lanePtr, *event);
-                         }
-                     });
-    // Metrics were buffered per lane during the parallel phase; publish
-    // them in stable map order so histogram contents are bit-identical
-    // at any thread count.
-    publishPending();
 }
 
 std::vector<const OnlineRadarDetector::Lane*>
@@ -341,7 +276,6 @@ void OnlineRadarDetector::decodeScalars(persist::ByteReader& reader,
     lane.duplicateSlots = reader.u64();
     lane.lateDropped = reader.u64();
     lane.sealedGaps = reader.u64();
-    lane.published = laneCounts(lane);
     if (lane.sealedThrough > slotCount_ ||
         (lane.any && lane.maxSlot >= slotCount_)) {
         throw net::CorruptionError{
@@ -438,9 +372,9 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
         throw net::CorruptionError{
             "detector checkpoint carries trailing bytes"};
     }
-    // Metrics stay incremental from here (each lane starts out fully
-    // published): a resumed process reports the work it does, not the
-    // work the crashed process already reported.
+    // Metrics count events as they are ingested, so a resumed process
+    // reports the work it does, not the work the crashed process
+    // already reported.
     lanes_ = std::move(lanes);
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -8,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "outage/radar.hpp"
 #include "persist/bytes.hpp"
@@ -40,9 +38,8 @@ struct OnlineAlert {
 /// produces byte-identical state, alerts and final detections.
 ///
 /// Watermarks are per-country on purpose: lateness then depends only on
-/// the order of one country's own events, so country-sharded parallel
-/// ingestion (ingestSharded) is bit-equivalent to sequential ingestion at
-/// any thread count.
+/// the order of one country's own events, not on how different
+/// countries' events interleave.
 ///
 /// Differential guarantee: after ingesting any complete event log (every
 /// slot of every country, in any within-watermark order),
@@ -56,22 +53,11 @@ public:
                         double windowDays,
                         obs::MetricsRegistry* metrics = nullptr);
 
-    /// Sequential ingestion of one event (the checkpointed consumer's
-    /// path).
+    /// Ingests one event (the checkpointed consumer's path).
     void ingest(const MeasurementEvent& event);
 
-    /// Sequential ingestion of a batch.
+    /// ingest() for each event in order.
     void ingestAll(std::span<const MeasurementEvent> events);
-
-    /// Country-sharded parallel ingestion: events are grouped by country
-    /// (preserving per-country order) and each group runs on one pool
-    /// lane. Bit-equivalent to ingestAll at any thread count — including
-    /// the metrics, which are buffered per lane and published
-    /// sequentially in stable order after the join. Not compatible with
-    /// mid-stream checkpoints (state between events is unordered across
-    /// countries); checkpointing consumers use ingest().
-    void ingestSharded(std::span<const MeasurementEvent> events,
-                       exec::WorkerPool& pool);
 
     /// Provisional alarms fired so far, grouped by country in
     /// country-table order, chronological within a country.
@@ -88,13 +74,6 @@ public:
     [[nodiscard]] DegradationReport degradation() const;
 
     [[nodiscard]] std::uint64_t eventsIngested() const;
-    [[nodiscard]] std::uint64_t configDigest() const { return digest_; }
-    [[nodiscard]] const outage::RadarConfig& radarConfig() const {
-        return radar_;
-    }
-    [[nodiscard]] const StreamConfig& streamConfig() const {
-        return stream_;
-    }
 
     /// Serialized detector state for a consumer checkpoint: config
     /// digest, every lane's slots/frontier/run state, alerts and
@@ -156,10 +135,6 @@ private:
         std::uint64_t lateDropped = 0;
         std::uint64_t sealedGaps = 0;
         std::vector<OnlineAlert> alerts;
-        /// Unpublished lag samples; buffered only with a registry.
-        std::vector<double> pendingLags;
-        /// laneCounts() as last added to the registry's counters.
-        std::array<std::uint64_t, 4> published{};
         /// What the next encodeDelta() journals: whether an event reached
         /// the lane, the slots first written (arrival order, at most
         /// slotCount_), and how many of `alerts` are already journalled.
@@ -168,18 +143,12 @@ private:
         std::size_t journalledAlerts = 0;
     };
 
-    /// events, lateDropped, duplicateSlots, sealedGaps: the order of
-    /// kCounterNames in the .cpp.
-    [[nodiscard]] static std::array<std::uint64_t, 4>
-    laneCounts(const Lane& lane);
-
     /// A lane's scalars, shared by full states and deltas: `any`,
     /// frontier, sealed-through, run state and the four counters.
     static void encodeScalars(persist::ByteWriter& writer,
                               const Lane& lane);
-    /// Reads them into `lane` and marks the counters published. Throws
-    /// net::CorruptionError when the frontier or sealed-through lies
-    /// past the window.
+    /// Reads them into `lane`. Throws net::CorruptionError when the
+    /// frontier or sealed-through lies past the window.
     void decodeScalars(persist::ByteReader& reader, Lane& lane) const;
     /// The count, then `lane.alerts[from..]` as (startDay,
     /// detectedAtDay) pairs.
@@ -192,25 +161,22 @@ private:
     [[nodiscard]] Lane& laneFor(const std::string& country);
     void laneIngest(Lane& lane, const MeasurementEvent& event);
     void sealLane(Lane& lane);
-    /// Flushes buffered lag samples and counter deltas to the registry:
-    /// `lane`'s alone, or every lane's in map order when null.
-    /// Sequential contexts only.
-    void publishPending(Lane* lane = nullptr);
     /// Lanes in readout order: country-table order first, then any
     /// non-African stragglers in name order.
     [[nodiscard]] std::vector<const Lane*> orderedLanes() const;
 
     outage::RadarConfig radar_;
-    StreamConfig stream_;
-    double windowDays_;
     std::size_t slotCount_;
     double watermarkSlots_;
     std::uint64_t digest_;
     obs::MetricsRegistry* metrics_;
-    /// The registry's instruments, looked up by the first publish (the
-    /// moment they have always been created) and held afterwards.
+    /// The registry's instruments, looked up by the first ingested event
+    /// and held afterwards; all null without a registry.
     obs::Histogram* lagDays_ = nullptr;
-    std::array<obs::Counter*, 4> counters_{}; ///< laneCounts() order
+    obs::Counter* events_ = nullptr;
+    obs::Counter* lateDropped_ = nullptr;
+    obs::Counter* duplicateSlots_ = nullptr;
+    obs::Counter* sealedGaps_ = nullptr;
     std::map<std::string, Lane, std::less<>> lanes_;
 };
 

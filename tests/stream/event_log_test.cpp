@@ -41,10 +41,6 @@ TEST(EventLog, RoundTripsHeaderAndEvents) {
     for (std::uint32_t slot = 0; slot < 5; ++slot) {
         EXPECT_EQ(view.events[slot], sampleEvent(slot));
     }
-    // Boundaries are strictly increasing record edges ending at the log
-    // size (the last record is intact).
-    ASSERT_EQ(view.boundaries.size(), 5U);
-    EXPECT_EQ(view.boundaries.back(), sink.size());
 }
 
 TEST(EventLog, TornTailIsTruncatedAndFlagged) {

@@ -4,10 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/worker_pool.hpp"
 #include "netbase/error.hpp"
-#include "obs/clock.hpp"
-#include "obs/metrics.hpp"
 #include "stream/online_radar.hpp"
 #include "stream_world.hpp"
 
@@ -21,10 +18,8 @@ using testing::world;
 constexpr double kWindowDays = 10.0;
 constexpr std::uint64_t kSeed = 42;
 
-OnlineRadarDetector freshDetector(double windowDays = kWindowDays,
-                                  obs::MetricsRegistry* metrics = nullptr) {
-    return OnlineRadarDetector{world().radar, StreamConfig{}, windowDays,
-                               metrics};
+OnlineRadarDetector freshDetector(double windowDays = kWindowDays) {
+    return OnlineRadarDetector{world().radar, StreamConfig{}, windowDays};
 }
 
 TEST(OnlineEquivalence, CompleteLogMatchesBatchDetector) {
@@ -47,39 +42,6 @@ TEST(OnlineEquivalence, EquivalenceHoldsAcrossSeedsAndWindows) {
                 << "seed " << seed << " window " << windowDays;
         }
     }
-}
-
-TEST(OnlineEquivalence, ShardedIngestionIsByteIdenticalAcrossThreadCounts) {
-    const auto events = emittedEvents(kWindowDays, kSeed);
-    OnlineRadarDetector reference = freshDetector();
-    reference.ingestAll(events);
-    const auto referenceState = reference.encodeState();
-    for (const int threads : {1, 2, 8}) {
-        OnlineRadarDetector detector = freshDetector();
-        exec::WorkerPool pool{threads};
-        detector.ingestSharded(events, pool);
-        EXPECT_EQ(detector.encodeState(), referenceState)
-            << threads << " threads";
-        EXPECT_EQ(detector.finalDetections(), reference.finalDetections());
-        EXPECT_EQ(detector.alerts(), reference.alerts());
-        EXPECT_EQ(detector.degradation(), reference.degradation());
-    }
-}
-
-TEST(OnlineEquivalence, MetricsAreScheduleInvariantUnderAManualClock) {
-    const auto events = emittedEvents(kWindowDays, kSeed);
-    std::vector<std::string> tables;
-    for (const int threads : {1, 2, 8}) {
-        obs::ManualClock clock;
-        obs::MetricsRegistry registry{&clock};
-        OnlineRadarDetector detector =
-            freshDetector(kWindowDays, &registry);
-        exec::WorkerPool pool{threads};
-        detector.ingestSharded(events, pool);
-        tables.push_back(registry.json());
-    }
-    EXPECT_EQ(tables[0], tables[1]);
-    EXPECT_EQ(tables[0], tables[2]);
 }
 
 TEST(OnlineEquivalence, AlertFiresNearTheOutageStart) {
