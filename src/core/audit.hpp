@@ -83,8 +83,6 @@ public:
     [[nodiscard]] std::vector<RegionalComplianceSummary>
     regionalSummary() const;
 
-    [[nodiscard]] const PolicyTargets& targets() const { return targets_; }
-
 private:
     const topo::Topology* topo_;
     const phys::CableRegistry* registry_;

@@ -81,17 +81,6 @@ ProbeFleet::siblingsInCountry(std::size_t index) const {
     return out;
 }
 
-std::vector<const Probe*>
-ProbeFleet::inCountry(std::string_view iso2) const {
-    std::vector<const Probe*> out;
-    for (const Probe& probe : probes_) {
-        if (probe.countryCode == iso2) {
-            out.push_back(&probe);
-        }
-    }
-    return out;
-}
-
 std::size_t ProbeFleet::countryCount() const {
     std::set<std::string> countries;
     for (const Probe& probe : probes_) {

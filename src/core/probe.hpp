@@ -90,8 +90,6 @@ public:
     }
     [[nodiscard]] std::size_t size() const { return probes_.size(); }
     [[nodiscard]] const Probe& probe(std::size_t index) const;
-    [[nodiscard]] std::vector<const Probe*>
-    inCountry(std::string_view iso2) const;
     /// Indices of every probe sharing `index`'s country, excluding
     /// `index` itself — the reassignment candidates the resilience layer
     /// falls back to when a probe dies mid-campaign.

@@ -7,17 +7,6 @@
 
 namespace aio::dns {
 
-std::string_view resolverClassName(ResolverClass cls) {
-    switch (cls) {
-    case ResolverClass::LocalInCountry: return "local (in-country)";
-    case ResolverClass::OtherAfricanCountry: return "other African country";
-    case ResolverClass::CloudInAfrica: return "cloud (Africa/ZA)";
-    case ResolverClass::CloudOffshore: return "cloud (EU/US)";
-    case ResolverClass::IspOffshore: return "ISP offshore (EU)";
-    }
-    return "?";
-}
-
 bool isAfricanResolverClass(ResolverClass cls) {
     return cls == ResolverClass::LocalInCountry ||
            cls == ResolverClass::OtherAfricanCountry ||

@@ -20,8 +20,6 @@ enum class ResolverClass {
     IspOffshore,         ///< resolution outsourced to a European ISP
 };
 
-[[nodiscard]] std::string_view resolverClassName(ResolverClass cls);
-
 /// True when the class keeps resolution on the continent.
 [[nodiscard]] bool isAfricanResolverClass(ResolverClass cls);
 

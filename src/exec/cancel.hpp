@@ -61,10 +61,6 @@ public:
         return cancelled() || deadlineExpired();
     }
 
-    [[nodiscard]] std::uint64_t deadlineNanos() const {
-        return deadlineNanos_;
-    }
-
     /// Throws net::CancelledError when the token has fired; the message
     /// distinguishes revocation from deadline expiry. Cheap when the
     /// token is quiet — two relaxed loads and (with a deadline) one

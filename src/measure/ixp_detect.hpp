@@ -43,10 +43,6 @@ public:
     [[nodiscard]] std::vector<topo::IxpIndex>
     detect(const TracerouteResult& trace) const;
 
-    [[nodiscard]] const IxpKnowledgeBase& knowledgeBase() const {
-        return kb_;
-    }
-
 private:
     const topo::Topology* topo_;
     IxpKnowledgeBase kb_;

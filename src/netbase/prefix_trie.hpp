@@ -78,11 +78,6 @@ public:
         return nodes_[node].value;
     }
 
-    /// True when `addr` is covered by at least one stored prefix.
-    [[nodiscard]] bool covers(Ipv4Address addr) const {
-        return lookup(addr).has_value();
-    }
-
     /// Number of stored prefixes.
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }

@@ -72,15 +72,6 @@ double median(std::span<const double> sample) {
     return percentile(sample, 50.0);
 }
 
-std::string summarize(std::span<const double> sample) {
-    std::ostringstream out;
-    out << "mean=" << TextTable::num(mean(sample), 2)
-        << " p50=" << TextTable::num(median(sample), 2)
-        << " p90=" << TextTable::num(percentile(sample, 90.0), 2)
-        << " max=" << TextTable::num(maxOf(sample), 2);
-    return out.str();
-}
-
 std::vector<std::pair<double, double>>
 empiricalCdf(std::span<const double> sample) {
     AIO_EXPECTS(!sample.empty(), "cdf of empty sample");

@@ -20,9 +20,6 @@ namespace aio::net {
 [[nodiscard]] double percentile(std::span<const double> sample, double p);
 [[nodiscard]] double median(std::span<const double> sample);
 
-/// One-line textual summary "mean=.. p50=.. p90=.. max=..".
-[[nodiscard]] std::string summarize(std::span<const double> sample);
-
 /// Empirical CDF evaluated at the sample points; returns (value, cdf)
 /// pairs sorted by value. Used by benches that print the paper's CDF
 /// figures as series.

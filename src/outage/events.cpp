@@ -20,12 +20,6 @@ bool OutageEvent::activeAtDay(double day) const {
     return day >= startDay && day < startDay + durationDays;
 }
 
-double OutageEvent::overlapDays(double fromDay, double toDay) const {
-    const double lo = std::max(fromDay, startDay);
-    const double hi = std::min(toDay, startDay + durationDays);
-    return std::max(0.0, hi - lo);
-}
-
 OutageEngine::OutageEngine(const topo::Topology& topology,
                            const phys::CableRegistry& registry,
                            OutageConfig config)

@@ -38,8 +38,6 @@ struct OutageEvent {
     /// True while the event is ongoing at `day` (fault overlays and the
     /// radar detector both reason about instant-in-time activity).
     [[nodiscard]] bool activeAtDay(double day) const;
-    /// Overlap in days with the window [fromDay, toDay).
-    [[nodiscard]] double overlapDays(double fromDay, double toDay) const;
 };
 
 /// Yearly event rates for one macro region.
@@ -48,11 +46,6 @@ struct OutageRates {
     double powerOutagesPerYear = 2.0;
     double shutdownsPerYear = 0.0;
     double routingIncidentsPerYear = 2.0;
-
-    [[nodiscard]] double totalPerYear() const {
-        return cableCutsPerYear + powerOutagesPerYear + shutdownsPerYear +
-               routingIncidentsPerYear;
-    }
 };
 
 struct OutageConfig {

@@ -53,10 +53,6 @@ public:
     void appendOutcome(const TaskOutcomeRecord& outcome);
     void appendCheckpoint(const CampaignCheckpoint& checkpoint);
 
-    [[nodiscard]] std::uint64_t recordCount() const {
-        return writer_.recordCount();
-    }
-
     struct Replay {
         /// Absent when the journal is empty or torn before the header
         /// completed — nothing was durably started, begin from scratch.

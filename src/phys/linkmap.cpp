@@ -6,15 +6,6 @@
 
 namespace aio::phys {
 
-std::string_view mediumKindName(MediumKind kind) {
-    switch (kind) {
-    case MediumKind::Terrestrial: return "terrestrial";
-    case MediumKind::Subsea: return "subsea";
-    case MediumKind::Satellite: return "satellite";
-    }
-    return "?";
-}
-
 std::string_view PhysicalLinkMap::coastalGateway(std::string_view iso2) {
     // Landlocked country -> coastal neighbour carrying its subsea access.
     struct Gateway {

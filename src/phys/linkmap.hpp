@@ -18,8 +18,6 @@ enum class MediumKind {
     Satellite,   ///< fallback where no cable serves the pair
 };
 
-[[nodiscard]] std::string_view mediumKindName(MediumKind kind);
-
 /// Physical realisation of one AS adjacency.
 struct PhysicalPath {
     MediumKind medium = MediumKind::Terrestrial;

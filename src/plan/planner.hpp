@@ -72,11 +72,6 @@ struct CoverageEstimate {
                    : static_cast<double>(countriesPlanned) /
                          static_cast<double>(countriesRequested);
     }
-    [[nodiscard]] double ixpShare() const {
-        return ixpsTotal == 0 ? 1.0
-                              : static_cast<double>(ixpsCovered) /
-                                    static_cast<double>(ixpsTotal);
-    }
 
     [[nodiscard]] bool operator==(const CoverageEstimate&) const = default;
 };

@@ -316,17 +316,6 @@ int FaultInjector::exhaustedCount() const {
         std::count(exhausted_.begin(), exhausted_.end(), true));
 }
 
-std::string_view streamFaultClassName(StreamFaultClass cls) {
-    switch (cls) {
-    case StreamFaultClass::DeliveryDrop: return "delivery drop";
-    case StreamFaultClass::DeliveryDuplicate: return "delivery duplicate";
-    case StreamFaultClass::DeliveryReorder: return "delivery reorder";
-    case StreamFaultClass::ChurnBurst: return "churn burst";
-    case StreamFaultClass::ConsumerCrash: return "consumer crash";
-    }
-    return "?";
-}
-
 namespace {
 
 void requireProbability(double value, const char* what) {
@@ -429,16 +418,6 @@ std::size_t StreamFaultInjector::reconnectCount() const {
         count += days.size();
     }
     return count;
-}
-
-std::string_view serviceFaultClassName(ServiceFaultClass cls) {
-    switch (cls) {
-    case ServiceFaultClass::SlowHandler: return "slow handler";
-    case ServiceFaultClass::TopologySwap: return "topology swap";
-    case ServiceFaultClass::TenantFlood: return "tenant flood";
-    case ServiceFaultClass::AllocPressure: return "alloc pressure";
-    }
-    return "?";
 }
 
 void ServiceFaultConfig::validate() const {

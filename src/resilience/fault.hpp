@@ -187,8 +187,6 @@ enum class StreamFaultClass : std::uint8_t {
     ConsumerCrash      ///< the stream consumer dies and must resume
 };
 
-[[nodiscard]] std::string_view streamFaultClassName(StreamFaultClass cls);
-
 /// Rates and bounds for an adversarial-delivery schedule. The skew bound
 /// is the contract with the consumer's watermark: drop/duplicate/reorder
 /// displacement stays within `maxSkewDays`, so a consumer whose watermark
@@ -269,8 +267,6 @@ enum class ServiceFaultClass : std::uint8_t {
     TenantFlood,   ///< one tenant bursts far past its fair share
     AllocPressure  ///< resident-byte spike; degrade, don't die
 };
-
-[[nodiscard]] std::string_view serviceFaultClassName(ServiceFaultClass cls);
 
 /// Per-step rates for the service fault schedule. Probabilities are per
 /// storm step, drawn independently (fixed draw order, so raising one

@@ -77,16 +77,6 @@ FilterDigest LinkFilter::digest() const {
     return digest;
 }
 
-std::string_view storagePolicyName(StoragePolicy policy) {
-    switch (policy) {
-    case StoragePolicy::Dense:
-        return "dense";
-    case StoragePolicy::Sharded:
-        return "sharded";
-    }
-    return "unknown";
-}
-
 RouteOracle::RouteOracle(const topo::Topology& topology)
     : topo_(&topology), n_(topology.asCount()) {}
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -90,8 +89,6 @@ enum class StoragePolicy {
     /// budget — the continent-scale policy.
     Sharded,
 };
-
-[[nodiscard]] std::string_view storagePolicyName(StoragePolicy policy);
 
 /// The all-pairs Gao-Rexford routing surface every consumer (impact
 /// analyzer, DNS/content reachability, traceroute, studies, the scenario

@@ -109,9 +109,6 @@ public:
 
     // ---- introspection (tests, benches, docs) ----
 
-    [[nodiscard]] const topo::CsrAdjacency& adjacency() const {
-        return csr_;
-    }
     [[nodiscard]] const ShardedOracleConfig& config() const {
         return config_;
     }

@@ -24,16 +24,6 @@ std::string_view rejectReasonName(RejectReason reason) {
     return "?";
 }
 
-std::string_view responseStatusName(ResponseStatus status) {
-    switch (status) {
-    case ResponseStatus::Ok: return "ok";
-    case ResponseStatus::Rejected: return "rejected";
-    case ResponseStatus::Cancelled: return "cancelled";
-    case ResponseStatus::Failed: return "failed";
-    }
-    return "?";
-}
-
 void AdmissionConfig::validate() const {
     AIO_EXPECTS(queueCapacity >= 1, "admission queue needs capacity >= 1");
     AIO_EXPECTS(shedQueueDepth >= 1 && shedQueueDepth <= queueCapacity,
@@ -74,10 +64,6 @@ void AdmissionController::registerTenant(const TenantQuota& quota) {
     tenants_.emplace(std::piecewise_construct,
                      std::forward_as_tuple(quota.tenant),
                      std::forward_as_tuple(quota));
-}
-
-bool AdmissionController::knowsTenant(std::string_view tenant) const {
-    return tenants_.find(tenant) != tenants_.end();
 }
 
 double

@@ -81,7 +81,6 @@ public:
 
     /// Registers (or replaces) a tenant. Validates the quota's pricing.
     void registerTenant(const TenantQuota& quota);
-    [[nodiscard]] bool knowsTenant(std::string_view tenant) const;
 
     /// Decides one submission given the current load facts. Admission
     /// bills the request's megabytes against the tenant's meter.

@@ -25,10 +25,6 @@ public:
     void recordCharge(std::string_view tenant, std::uint64_t seq,
                       double mb, bool offPeak);
 
-    [[nodiscard]] std::uint64_t recordCount() const {
-        return writer_.recordCount();
-    }
-
     struct TenantConsumption {
         double peakMb = 0.0;
         double offPeakMb = 0.0;

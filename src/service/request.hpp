@@ -72,8 +72,6 @@ enum class ResponseStatus : std::uint8_t {
     Failed     ///< admitted but the engine raised a non-cancel error
 };
 
-[[nodiscard]] std::string_view responseStatusName(ResponseStatus status);
-
 /// What the service hands back for one request. Every response names the
 /// epoch it was served from and whether the service was degraded (still
 /// serving a stale epoch after a failed swap) at execution time.

@@ -46,7 +46,6 @@ ServiceSnapshot::build(topo::Topology topology, phys::CableRegistry registry,
     if (config.computeDigest) {
         snapshot->digest_ = route::routeMatrixDigest(
             *snapshot->substrate_->analyzer().baselineOracle());
-        snapshot->hasDigest_ = true;
     }
     return std::shared_ptr<const ServiceSnapshot>{std::move(snapshot)};
 }

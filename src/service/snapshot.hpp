@@ -63,7 +63,6 @@ public:
     [[nodiscard]] const route::RouteMatrixDigest& digest() const {
         return digest_;
     }
-    [[nodiscard]] bool hasDigest() const { return hasDigest_; }
 
     /// The snapshot's internally-locked cache — mutable through const
     /// because shrinking its byte budget is how the service degrades
@@ -81,7 +80,6 @@ private:
     std::unique_ptr<route::OracleCache> cache_;
     std::unique_ptr<core::Substrate> substrate_;
     route::RouteMatrixDigest digest_;
-    bool hasDigest_ = false;
 };
 
 } // namespace aio::service

@@ -66,14 +66,6 @@ void runPlan(const WorkloadContext& context, const ServiceRequest& request,
 
 } // namespace
 
-std::string_view deadlinePolicyName(DeadlinePolicy policy) {
-    switch (policy) {
-    case DeadlinePolicy::Optional: return "optional";
-    case DeadlinePolicy::Required: return "required";
-    }
-    return "?";
-}
-
 void WorkloadRegistry::add(WorkloadInfo info, WorkloadHandler handler) {
     AIO_EXPECTS(!info.name.empty(), "workload name must be non-empty");
     AIO_EXPECTS(handler != nullptr, "workload needs a handler");

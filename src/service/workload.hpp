@@ -22,8 +22,6 @@ enum class DeadlinePolicy : std::uint8_t {
     Required  ///< requests without a deadline are rejected
 };
 
-[[nodiscard]] std::string_view deadlinePolicyName(DeadlinePolicy policy);
-
 /// Admission-relevant attributes of one named workload: the degradation
 /// ladder sheds on `heavy`, and `defaultCostMb` is THE single source of
 /// the costMb == 0 default — admission bills through it and the ledger

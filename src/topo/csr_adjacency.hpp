@@ -61,10 +61,6 @@ public:
     neighbors(AsIndex idx) const {
         return {neighbors_.data() + offsets_[idx], degree(idx)};
     }
-    /// Row `idx`'s relations, parallel to neighbors().
-    [[nodiscard]] std::span<const std::uint8_t> relations(AsIndex idx) const {
-        return {rel_.data() + offsets_[idx], degree(idx)};
-    }
 
     [[nodiscard]] AsIndex neighborAt(AsIndex idx, std::uint32_t slot) const {
         return static_cast<AsIndex>(neighbors_[offsets_[idx] + slot]);
