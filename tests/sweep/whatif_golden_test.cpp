@@ -5,9 +5,11 @@
 // moved both sides in lockstep would pass them all. These values were
 // recorded from the reference implementation and pin the absolute
 // output: impact-report digests, content locality and Ghana's DNS
-// failure share from a base engine and from every derived engine, and
-// the per-scenario reports, aggregates and batch statistics of a
-// plain-scenario sweep (dense and sharded) and an overlay-only sweep.
+// failure share from a base engine and from every derived engine; the
+// reports assess() gives country-scoped and offshore events; and the
+// per-scenario reports, aggregates and batch statistics of a
+// plain-scenario sweep, a catalog sweep (each dense and sharded) and an
+// overlay-only sweep.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,9 @@
 #include "core/whatif.hpp"
 #include "exec/worker_pool.hpp"
 #include "persist/bytes.hpp"
+#include "plan/textio.hpp"
 #include "routing/oracle_cache.hpp"
+#include "scenario/catalog.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
 
@@ -306,6 +310,191 @@ TEST(WhatIfGolden, PlainCutSweepSharded) {
         dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
         options};
     expectPlainSweep(substrate, {0x0012829a4dfb1d9dULL, 10, 3, 7, 0});
+}
+
+core::Substrate policySubstrate(route::StoragePolicy policy,
+                                exec::WorkerPool* pool) {
+    core::Substrate::Options options;
+    options.impact.routeStorage = policy;
+    options.pool = pool;
+    return core::Substrate{world(), phys::CableRegistry::africanDefaults(),
+                           dns::DnsConfig::defaults(),
+                           content::ContentConfig::defaults(), options};
+}
+
+outage::OutageEvent countryEvent(outage::OutageType type,
+                                 std::vector<std::string> countries,
+                                 net::MacroRegion region, double days) {
+    outage::OutageEvent event;
+    event.type = type;
+    event.macroRegion = region;
+    event.durationDays = days;
+    event.countries = std::move(countries);
+    return event;
+}
+
+struct CountryEventPin {
+    std::uint64_t shutdown = 0;
+    std::uint64_t routingIncident = 0;
+    std::uint64_t offshore = 0; ///< a non-African event
+};
+
+/// assess() on the country-scoped event classes the sweep batches above
+/// do not carry: a government shutdown (every AS of the country
+/// withdrawn), a routing incident (a sampled share of the countries'
+/// links flapped) and an event outside the modelled cable plant. The
+/// shutdown's report lists five countries and the incident's ten.
+void expectCountryEvents(const core::Substrate& substrate,
+                         const CountryEventPin& golden) {
+    const core::WhatIfEngine engine{substrate};
+    const auto digestOf = [&engine](const outage::OutageEvent& event) {
+        persist::ByteWriter out;
+        fold(out, engine.assess(event));
+        return persist::fnv1a64(out.bytes());
+    };
+    const std::uint64_t shutdown = digestOf(
+        countryEvent(outage::OutageType::GovernmentShutdown, {"NG"},
+                     net::MacroRegion::Africa, 5.0));
+    const std::uint64_t routingIncident = digestOf(
+        countryEvent(outage::OutageType::RoutingIncident, {"KE", "ZA"},
+                     net::MacroRegion::Africa, 2.0));
+    const std::uint64_t offshore = digestOf(
+        countryEvent(outage::OutageType::PowerOutage, {"PT", "ES"},
+                     net::MacroRegion::Europe, 1.5));
+    EXPECT_EQ(shutdown, golden.shutdown) << std::hex << "0x" << shutdown;
+    EXPECT_EQ(routingIncident, golden.routingIncident)
+        << std::hex << "0x" << routingIncident;
+    EXPECT_EQ(offshore, golden.offshore) << std::hex << "0x" << offshore;
+}
+
+TEST(WhatIfGolden, CountryScopedEventsDense) {
+    expectCountryEvents(policySubstrate(route::StoragePolicy::Dense, nullptr),
+                        {0xbec50e6d7582dbfcULL, 0x0b3bb2cbe4a44da1ULL,
+                         0xf0316a873adc8e6bULL});
+}
+
+TEST(WhatIfGolden, CountryScopedEventsSharded) {
+    expectCountryEvents(
+        policySubstrate(route::StoragePolicy::Sharded, nullptr),
+        {0xbec50e6d7582dbfcULL, 0x0b3bb2cbe4a44da1ULL,
+         0xf0316a873adc8e6bULL});
+}
+
+/// The benchmark catalog's shape at a fixed timeline: the March 2024
+/// cascade (west corridor, a grid-collapse power phase over NG+GH, then
+/// SEACOM on the west repair tail), the west corridor's phased recovery,
+/// and a 50-draw correlated Monte-Carlo block.
+scenario::ScenarioCatalog goldenCatalog() {
+    scenario::ScenarioCatalog catalog;
+    scenario::CascadeTemplate march;
+    march.name = "march-2024";
+    scenario::PhaseSpec west;
+    west.name = "west-cut";
+    west.cutCables = {"WACS", "MainOne", "SAT-3", "ACE"};
+    west.durationDays = 35.0;
+    march.phases.push_back(west);
+    scenario::PhaseSpec grid;
+    grid.name = "grid-collapse";
+    grid.type = outage::OutageType::PowerOutage;
+    grid.countries = {"NG", "GH"};
+    grid.startDay = 2.0;
+    grid.durationDays = 2.0;
+    march.phases.push_back(grid);
+    scenario::PhaseSpec east;
+    east.name = "east-cut";
+    east.cutCables = {"SEACOM"};
+    east.startDay = 6.0;
+    east.durationDays = 20.0;
+    march.phases.push_back(east);
+    catalog.add(march);
+
+    catalog.add(scenario::CascadeTemplate::phasedRecovery(
+        "west-repair", {"WACS", "MainOne", "SAT-3", "ACE"}, 10.0));
+
+    scenario::SampledTemplate sampled;
+    sampled.name = "mc";
+    sampled.config.seed = 2024;
+    sampled.config.count = 50;
+    sampled.config.importanceBoost = 2.0;
+    sampled.config.correlation.sameCorridorProb = 0.02;
+    sampled.config.correlation.sharedLandingProb = 0.002;
+    sampled.config.repairMeanDays = 21.0;
+    catalog.add(sampled);
+    return catalog;
+}
+
+struct CatalogSweepPin {
+    std::uint64_t digest = 0;
+    std::size_t scenarios = 0;
+    std::size_t dedupHits = 0;
+    std::size_t incrementalBuilds = 0;
+    std::size_t dirtyDestinations = 0;
+    std::size_t errors = 0;
+    double totalWeight = 0.0;
+    double meanPageLoadLoss = 0.0;
+    double meanResolutionDays = 0.0;
+    double meanImpactedCountries = 0.0;
+    double meanDetourShare = 0.0;
+    double meanContentLocalShare = 0.0;
+};
+
+/// The catalog rendered to text and parsed back, compiled and swept on
+/// the substrate's 2-lane pool with scenario aggregates on.
+void expectCatalogSweep(const core::Substrate& substrate,
+                        const CatalogSweepPin& golden) {
+    const std::string text =
+        plan::renderCatalog(goldenCatalog()).valueOrRaise();
+    const auto batch =
+        plan::parseCatalog(text).valueOrRaise().compile(substrate);
+    ASSERT_TRUE(batch.hasValue()) << batch.error().message;
+    SweepOptions options;
+    options.scenarioAggregates = true;
+    const BatchSweepResult result =
+        ScenarioSweepEngine{substrate, options}.runBatch(batch.value());
+    const SweepStats& stats = result.sweep.stats;
+    const std::uint64_t digest = sweepDigest(result.sweep);
+    EXPECT_EQ(digest, golden.digest) << std::hex << "0x" << digest;
+    EXPECT_EQ(stats.scenarios, golden.scenarios);
+    EXPECT_EQ(stats.dedupHits, golden.dedupHits);
+    EXPECT_EQ(stats.incrementalBuilds, golden.incrementalBuilds);
+    EXPECT_EQ(stats.fullBuilds, 0u);
+    EXPECT_EQ(stats.dirtyDestinations, golden.dirtyDestinations);
+    EXPECT_EQ(stats.errors, golden.errors);
+    EXPECT_EQ(stats.overlayScenarios, 0u);
+
+    const WeightedAggregate& agg = result.aggregate;
+    EXPECT_EQ(agg.scored, golden.scenarios);
+    EXPECT_EQ(agg.errors, golden.errors);
+    EXPECT_EQ(agg.totalWeight, golden.totalWeight)
+        << std::hexfloat << agg.totalWeight;
+    EXPECT_EQ(agg.meanPageLoadLoss, golden.meanPageLoadLoss)
+        << std::hexfloat << agg.meanPageLoadLoss;
+    EXPECT_EQ(agg.meanResolutionDays, golden.meanResolutionDays)
+        << std::hexfloat << agg.meanResolutionDays;
+    EXPECT_EQ(agg.meanImpactedCountries, golden.meanImpactedCountries)
+        << std::hexfloat << agg.meanImpactedCountries;
+    EXPECT_EQ(agg.meanDetourShare, golden.meanDetourShare)
+        << std::hexfloat << agg.meanDetourShare;
+    EXPECT_EQ(agg.meanContentLocalShare, golden.meanContentLocalShare)
+        << std::hexfloat << agg.meanContentLocalShare;
+}
+
+TEST(WhatIfGolden, CatalogSweepDense) {
+    exec::WorkerPool pool{2};
+    expectCatalogSweep(
+        policySubstrate(route::StoragePolicy::Dense, &pool),
+        {0x1b93ac446d50729cULL, 57, 26, 31, 12958, 0,
+         0x1.c545ad627459bp+5, 0x1.39ad8c2b7783dp-2, 0x1.5b7e2e379b29bp+3,
+         0x1.49d20684e5bap+2, 0x1.de4f9a7283cf8p-1, 0x1.2565c84174be9p-2});
+}
+
+TEST(WhatIfGolden, CatalogSweepSharded) {
+    exec::WorkerPool pool{2};
+    expectCatalogSweep(
+        policySubstrate(route::StoragePolicy::Sharded, &pool),
+        {0x1b93ac446d50729cULL, 57, 26, 31, 7435, 0,
+         0x1.c545ad627459bp+5, 0x1.39ad8c2b7783dp-2, 0x1.5b7e2e379b29bp+3,
+         0x1.49d20684e5bap+2, 0x1.de4f9a7283cf8p-1, 0x1.2565c84174be9p-2});
 }
 
 } // namespace
