@@ -40,6 +40,9 @@ struct OracleJob {
     route::LinkFilter filter;
     std::shared_ptr<const route::RouteOracle> oracle; ///< resolved
     bool fromCache = false;
+    /// The routing half of every score against this state, computed once
+    /// in the build phase.
+    outage::RoutingImpact impact;
     /// Sampled detour share of this routing state; computed once per
     /// unique oracle when scenarioAggregates is requested.
     double detourShare = 0.0;
@@ -188,7 +191,8 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }
     }
 
-    // ---- build: resolve each unique degraded routing state ----
+    // ---- build: resolve each unique degraded routing state and its
+    // routing impact ----
     {
         checkpoint();
         const obs::Span buildSpan = obs::Trace::enter(trace, "build");
@@ -205,12 +209,16 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }
         forEach(pool, oracles.size(), [&](std::size_t j) {
             OracleJob& job = oracles[j];
-            if (job.oracle != nullptr) {
-                return;
+            if (job.oracle == nullptr) {
+                const obs::ScopedTimer buildTimer{metrics,
+                                                  "sweep.build_seconds"};
+                job.oracle = buildDegraded(job.filter);
             }
-            const obs::ScopedTimer buildTimer{metrics,
-                                              "sweep.build_seconds"};
-            job.oracle = buildDegraded(job.filter);
+            // Cache hits need it too: it depends only on the oracle, which
+            // is the state every scenario sharing it scores against.
+            const obs::ScopedTimer impactTimer{metrics,
+                                               "sweep.impact_seconds"};
+            job.impact = analyzer.routingImpact(*job.oracle);
         }, options_.cancel);
         for (const OracleJob& job : oracles) {
             if (job.fromCache) {
@@ -249,7 +257,18 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }, options_.cancel);
     }
 
-    // ---- score: assess every plain scenario against its oracle ----
+    // Solved rows are read once the build phase's routing-impact walks and
+    // the aggregates phase's detour samples are done (scoring queries no
+    // oracle): a dense build solved every row at construction, but a
+    // sharded one solves rows lazily as those queries touch them —
+    // reading here reports what the batch actually paid.
+    for (const OracleJob& job : oracles) {
+        if (!job.fromCache) {
+            result.stats.dirtyDestinations += job.oracle->solvedRows();
+        }
+    }
+
+    // ---- score: each plain scenario from its state's routing impact ----
     {
         checkpoint();
         const obs::Span scoreSpan = obs::Trace::enter(trace, "score");
@@ -261,8 +280,8 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             // time exactly as assess() advances its own; scoring from a
             // lane-local copy continues it where assess() would.
             net::Rng rng = job.rng;
-            slots[job.slot].emplace(analyzer.assessWithOracle(
-                job.event, *oracles[job.oracleIndex].oracle, rng));
+            slots[job.slot].emplace(analyzer.score(
+                job.event, oracles[job.oracleIndex].impact, rng));
             if (options_.scenarioAggregates) {
                 const outage::ImpactReport& report = slots[job.slot]->value();
                 aggSlots[job.slot].emplace(ScenarioAggregates{
@@ -273,16 +292,6 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }, options_.cancel);
         if (trace != nullptr && !plain.empty()) {
             trace->count("scenario", plain.size());
-        }
-    }
-
-    // Solved rows are read *after* scoring: a dense build solved every
-    // row at construction, but a sharded one solves rows lazily as
-    // scoring queries touch them — reading here reports what the batch
-    // actually paid.
-    for (const OracleJob& job : oracles) {
-        if (!job.fromCache) {
-            result.stats.dirtyDestinations += job.oracle->solvedRows();
         }
     }
 
@@ -336,8 +345,8 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             const std::shared_ptr<const route::RouteOracle> degraded =
                 filter.empty() ? overlayAnalyzer.baselineOracle()
                                : buildDegraded(filter);
-            slots[slot].emplace(
-                overlayAnalyzer.assessWithOracle(*event, *degraded, rng));
+            slots[slot].emplace(overlayAnalyzer.score(
+                *event, overlayAnalyzer.routingImpact(*degraded), rng));
             if (options_.scenarioAggregates) {
                 const outage::ImpactReport& report = slots[slot]->value();
                 const core::ConnectivityStudies studies{

@@ -64,8 +64,8 @@ struct SweepStats {
     std::size_t incrementalBuilds = 0;
     std::size_t fullBuilds = 0;
     /// Destination rows those builds solved (RouteOracle::solvedRows,
-    /// read after scoring): every row of a dense build, the rows scoring
-    /// touched of a sharded one.
+    /// read after the routing-impact walks and detour samples): every row
+    /// of a dense build, the rows those queries touched of a sharded one.
     std::size_t dirtyDestinations = 0;
     /// Scenarios that changed a derived layer (cables added / config
     /// overrides) and therefore re-derived their stack per scenario.
