@@ -58,14 +58,17 @@ OnlineRadarDetector::OnlineRadarDetector(outage::RadarConfig radar,
 
 OnlineRadarDetector::Lane&
 OnlineRadarDetector::laneFor(const std::string& country) {
-    const auto it = lanes_.find(country);
-    if (it != lanes_.end()) {
-        return it->second;
+    if (const auto it = laneIndex_.find(country); it != laneIndex_.end()) {
+        return *it->second;
     }
-    Lane& lane = lanes_[country];
-    lane.country = country;
-    lane.values.assign(slotCount_, 0.0);
-    lane.present.assign(slotCount_, 0);
+    const auto [it, created] = lanes_.try_emplace(country);
+    Lane& lane = it->second;
+    if (created) {
+        lane.country = country;
+        lane.values.assign(slotCount_, 0.0);
+        lane.present.assign(slotCount_, 0);
+    }
+    laneIndex_.emplace(country, &lane);
     return lane;
 }
 
@@ -376,6 +379,7 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
     // reports the work it does, not the work the crashed process
     // already reported.
     lanes_ = std::move(lanes);
+    laneIndex_.clear();
 }
 
 void OnlineRadarDetector::encodeDelta(persist::ByteWriter& writer) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -52,6 +53,12 @@ public:
     OnlineRadarDetector(outage::RadarConfig radar, StreamConfig stream,
                         double windowDays,
                         obs::MetricsRegistry* metrics = nullptr);
+
+    /// Move-only: the lane index points into this detector's own lanes.
+    OnlineRadarDetector(const OnlineRadarDetector&) = delete;
+    OnlineRadarDetector& operator=(const OnlineRadarDetector&) = delete;
+    OnlineRadarDetector(OnlineRadarDetector&&) = default;
+    OnlineRadarDetector& operator=(OnlineRadarDetector&&) = default;
 
     /// Ingests one event (the checkpointed consumer's path).
     void ingest(const MeasurementEvent& event);
@@ -178,6 +185,10 @@ private:
     obs::Counter* duplicateSlots_ = nullptr;
     obs::Counter* sealedGaps_ = nullptr;
     std::map<std::string, Lane, std::less<>> lanes_;
+    /// Every lane laneFor() has found or created since construction or
+    /// the last restoreState(), by country: ingest's O(1) lookup. Map
+    /// nodes never move, so the pointers stay valid as lanes are added.
+    std::unordered_map<std::string, Lane*> laneIndex_;
 };
 
 } // namespace aio::stream
