@@ -172,23 +172,15 @@ private:
     std::vector<bool> exhausted_;
 };
 
-/// Ways the *delivery path* between a probe and the stream consumer
-/// misbehaves. The probe fault classes above model the vantage point
-/// itself dying; these model what "Day in the Life of RIPE Atlas"
-/// documents about the result stream even when probes are healthy:
-/// results lost and retransmitted, delivered twice, arriving out of
-/// order, probes flapping through disconnect/reconnect sessions, and the
-/// collector process itself being killed mid-stream.
-enum class StreamFaultClass : std::uint8_t {
-    DeliveryDrop,      ///< first copy lost; redelivered later (at-least-once)
-    DeliveryDuplicate, ///< a second copy arrives after the first
-    DeliveryReorder,   ///< delayed past later events, within a skew bound
-    ChurnBurst,        ///< probe disconnect/reconnect burst (new sessions)
-    ConsumerCrash      ///< the stream consumer dies and must resume
-};
-
-/// Rates and bounds for an adversarial-delivery schedule. The skew bound
-/// is the contract with the consumer's watermark: drop/duplicate/reorder
+/// Rates and bounds for an adversarial-delivery schedule: ways the
+/// *delivery path* between a probe and the stream consumer misbehaves.
+/// The probe fault classes above model the vantage point itself dying;
+/// these model what "Day in the Life of RIPE Atlas" documents about the
+/// result stream even when probes are healthy: results lost and
+/// retransmitted, delivered twice, arriving out of order, and probes
+/// flapping through disconnect/reconnect sessions (the stream tests kill
+/// the consumer itself mid-stream on top). The skew bound is the
+/// contract with the consumer's watermark: drop/duplicate/reorder
 /// displacement stays within `maxSkewDays`, so a consumer whose watermark
 /// exceeds it absorbs those faults without changing any final detection.
 /// `lateProb` events are the deliberate exception — displaced by
@@ -257,19 +249,15 @@ private:
     std::map<std::uint64_t, std::vector<double>> reconnects_;
 };
 
-/// Ways a *resident observatory service* misbehaves while probes and
-/// delivery are healthy: the process itself is the fault domain. These
-/// drive the service soak/storm harnesses — each class attacks one of
-/// the service's concurrency or admission invariants.
-enum class ServiceFaultClass : std::uint8_t {
-    SlowHandler,   ///< a handler stalls; its request eats deadline budget
-    TopologySwap,  ///< a new epoch is published under in-flight readers
-    TenantFlood,   ///< one tenant bursts far past its fair share
-    AllocPressure  ///< resident-byte spike; degrade, don't die
-};
-
-/// Per-step rates for the service fault schedule. Probabilities are per
-/// storm step, drawn independently (fixed draw order, so raising one
+/// Per-step rates for the service fault schedule: ways a *resident
+/// observatory service* misbehaves while probes and delivery are
+/// healthy, so the process itself is the fault domain. These drive the
+/// service soak/storm harnesses, and each class attacks one of the
+/// service's concurrency or admission invariants: a slow handler eats
+/// its request's deadline budget, a topology swap publishes a new epoch
+/// under in-flight readers, a tenant flood bursts far past one tenant's
+/// fair share, and alloc pressure spikes resident bytes (degrade, don't
+/// die). Probabilities are per storm step, drawn independently (fixed draw order, so raising one
 /// rate never perturbs another class's stream — same contract as
 /// StreamFaultInjector::fateFor).
 struct ServiceFaultConfig {
