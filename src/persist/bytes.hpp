@@ -160,6 +160,15 @@ public:
         return data_.size() - pos_;
     }
 
+    /// Throws unless every byte was decoded; `what` names the payload.
+    void expectEnd(std::string_view what) const {
+        if (!atEnd()) {
+            throw net::CorruptionError{std::string{what} + " carries " +
+                                       std::to_string(remaining()) +
+                                       " trailing bytes"};
+        }
+    }
+
 private:
     void need(std::size_t count) const {
         if (data_.size() - pos_ < count) {

@@ -2,21 +2,17 @@
 
 #include <string>
 
-#include "persist/bytes.hpp"
-
 namespace aio::persist {
 
 namespace {
 
-enum RecordType : std::uint8_t {
-    kHeaderRecord = 1,
-    kOutcomeRecord = 2,
-    kCheckpointRecord = 3,
-};
+constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint8_t kOutcomeRecord = 2;
+constexpr std::uint8_t kCheckpointRecord = 3;
 
 void encodeHeader(ByteWriter& w, const CampaignHeader& header) {
     w.u8(kHeaderRecord);
-    w.u32(header.formatVersion);
+    w.u32(kFormatVersion);
     w.u64(header.planDigest);
     w.u64(header.configDigest);
     for (const std::uint64_t word : header.initialRngState) {
@@ -30,11 +26,6 @@ void encodeHeader(ByteWriter& w, const CampaignHeader& header) {
 
 CampaignHeader decodeHeader(ByteReader& r) {
     CampaignHeader header;
-    header.formatVersion = r.u32();
-    if (header.formatVersion != 1) {
-        throw net::CorruptionError{"unsupported journal format version " +
-                                   std::to_string(header.formatVersion)};
-    }
     header.planDigest = r.u64();
     header.configDigest = r.u64();
     for (std::uint64_t& word : header.initialRngState) {
@@ -44,6 +35,7 @@ CampaignHeader decodeHeader(ByteReader& r) {
     header.probeCount = r.u64();
     header.checkpointInterval = r.u32();
     header.resumedAtOutcome = r.u64();
+    r.expectEnd("journal header");
     return header;
 }
 
@@ -66,6 +58,7 @@ TaskOutcomeRecord decodeOutcome(ByteReader& r) {
     outcome.kind = static_cast<TaskOutcomeKind>(kind);
     outcome.faultClass = r.u8();
     outcome.clockHour = r.f64();
+    r.expectEnd("journal outcome record");
     return outcome;
 }
 
@@ -197,39 +190,18 @@ CampaignCheckpoint decodeCheckpoint(ByteReader& r) {
         m.exhausted = r.boolean();
         cp.meters.push_back(m);
     }
+    r.expectEnd("journal checkpoint record");
     return cp;
 }
 
-void requireDrained(const ByteReader& r, const char* what) {
-    if (!r.atEnd()) {
-        throw net::CorruptionError{
-            std::string{what} + " record carries " +
-            std::to_string(r.remaining()) + " trailing bytes"};
-    }
-}
-
 } // namespace
-
-/// One framed append + flush: the record is only "written" once it is
-/// durable. Byte/latency accounting rides along when metrics are wired.
-void CampaignJournal::appendRecord(std::span<const std::byte> payload) {
-    const obs::ScopedTimer timer{metrics_, "journal.append_seconds"};
-    const std::uint64_t before = writer_.bytesWritten();
-    writer_.append(payload);
-    sink_->flush();
-    if (metrics_ != nullptr) {
-        metrics_->counter("journal.appends").add();
-        metrics_->counter("journal.flushes").add();
-        metrics_->counter("journal.bytes_written")
-            .add(writer_.bytesWritten() - before);
-    }
-}
 
 void CampaignJournal::writeHeader(const CampaignHeader& header) {
     AIO_EXPECTS(!headerWritten_, "journal header already written");
     ByteWriter w;
     encodeHeader(w, header);
-    appendRecord(w.bytes());
+    log_.append(w.bytes());
+    flushes_.add();
     headerWritten_ = true;
 }
 
@@ -237,7 +209,8 @@ void CampaignJournal::appendOutcome(const TaskOutcomeRecord& outcome) {
     AIO_EXPECTS(headerWritten_, "journal needs a header before records");
     ByteWriter w;
     encodeOutcome(w, outcome);
-    appendRecord(w.bytes());
+    log_.append(w.bytes());
+    flushes_.add();
 }
 
 void CampaignJournal::appendCheckpoint(const CampaignCheckpoint& checkpoint) {
@@ -245,7 +218,8 @@ void CampaignJournal::appendCheckpoint(const CampaignCheckpoint& checkpoint) {
     const obs::ScopedTimer timer{metrics_, "journal.checkpoint_seconds"};
     ByteWriter w;
     encodeCheckpoint(w, checkpoint);
-    appendRecord(w.bytes());
+    log_.append(w.bytes());
+    flushes_.add();
     if (metrics_ != nullptr) {
         metrics_->counter("journal.checkpoints").add();
     }
@@ -256,55 +230,33 @@ CampaignJournal::replay(std::span<const std::byte> bytes,
                         obs::MetricsRegistry* metrics) {
     const obs::ScopedTimer timer{metrics, "journal.replay_seconds"};
     Replay out;
-    RecordReader reader{bytes};
-    while (const auto payload = reader.next()) {
-        ByteReader r{*payload};
-        const std::uint8_t type = r.u8();
-        if (!out.header && type != kHeaderRecord) {
-            throw net::CorruptionError{
-                "journal does not start with a header record"};
-        }
-        switch (type) {
-        case kHeaderRecord: {
-            if (out.header) {
-                throw net::CorruptionError{"duplicate journal header"};
-            }
-            out.header = decodeHeader(r);
-            requireDrained(r, "header");
-            break;
-        }
-        case kOutcomeRecord: {
-            (void)decodeOutcome(r);
-            requireDrained(r, "outcome");
-            ++out.outcomeRecords;
-            break;
-        }
-        case kCheckpointRecord: {
-            CampaignCheckpoint cp = decodeCheckpoint(r);
-            requireDrained(r, "checkpoint");
-            // Write-ahead invariant: a checkpoint's cursor must equal the
-            // journal's starting cursor plus the outcome records actually
-            // present before it. A mismatch means records were dropped,
-            // duplicated or spliced — resuming would replay the wrong
-            // suffix, so refuse.
-            const std::uint64_t expected =
-                out.header->resumedAtOutcome + out.outcomeRecords;
-            if (cp.outcomesApplied != expected) {
-                throw net::CorruptionError{
-                    "checkpoint cursor " +
-                    std::to_string(cp.outcomesApplied) +
-                    " contradicts the " + std::to_string(expected) +
-                    " settlements journaled before it"};
-            }
-            out.checkpoint = std::move(cp);
-            break;
-        }
-        default:
-            throw net::CorruptionError{"unknown journal record type " +
-                                       std::to_string(type)};
-        }
+    LogReader reader{bytes, "journal", kFormatVersion, kCheckpointRecord};
+    if (auto& header = reader.header()) {
+        out.header = decodeHeader(*header);
     }
-    out.tornTail = reader.tail() == TailStatus::Torn;
+    while (auto record = reader.next()) {
+        if (record->type == kOutcomeRecord) {
+            (void)decodeOutcome(record->body);
+            ++out.outcomeRecords;
+            continue;
+        }
+        CampaignCheckpoint cp = decodeCheckpoint(record->body);
+        // Write-ahead invariant: a checkpoint's cursor must equal the
+        // journal's starting cursor plus the outcome records actually
+        // present before it. A mismatch means records were dropped,
+        // duplicated or spliced — resuming would replay the wrong
+        // suffix, so refuse.
+        const std::uint64_t expected =
+            out.header->resumedAtOutcome + out.outcomeRecords;
+        if (cp.outcomesApplied != expected) {
+            throw net::CorruptionError{
+                "checkpoint cursor " + std::to_string(cp.outcomesApplied) +
+                " contradicts the " + std::to_string(expected) +
+                " settlements journaled before it"};
+        }
+        out.checkpoint = std::move(cp);
+    }
+    out.tornTail = reader.tornTail();
     if (metrics != nullptr) {
         metrics->counter("journal.replay.records")
             .add(out.outcomeRecords);

@@ -8,7 +8,7 @@
 
 #include "core/observatory.hpp"
 #include "obs/metrics.hpp"
-#include "persist/record.hpp"
+#include "persist/log.hpp"
 #include "persist/state.hpp"
 
 namespace aio::persist {
@@ -42,13 +42,11 @@ public:
     /// latency histograms and byte/record counters.
     explicit CampaignJournal(ByteSink& sink,
                              obs::MetricsRegistry* metrics = nullptr)
-        : writer_(sink), sink_(&sink), metrics_(metrics) {}
+        : log_(sink, metrics, "journal"),
+          flushes_(metrics, "journal.flushes"), metrics_(metrics) {}
 
-    /// Every record append is followed by a sink flush before the call
-    /// returns: the durability the supervisor reports (a checkpoint that
-    /// "survives a crash") is only true once the bytes left the buffering
-    /// layer, and a WAL that lets records linger unflushed silently
-    /// violates the resume contract on real storage.
+    /// Each record is flushed before the call returns (LogWriter), so a
+    /// checkpoint the supervisor reports durable survives a crash.
     void writeHeader(const CampaignHeader& header);
     void appendOutcome(const TaskOutcomeRecord& outcome);
     void appendCheckpoint(const CampaignCheckpoint& checkpoint);
@@ -75,10 +73,8 @@ public:
            obs::MetricsRegistry* metrics = nullptr);
 
 private:
-    void appendRecord(std::span<const std::byte> payload);
-
-    RecordWriter writer_;
-    ByteSink* sink_;
+    LogWriter log_;
+    obs::LazyCounter flushes_;
     obs::MetricsRegistry* metrics_;
     bool headerWritten_ = false;
 };

@@ -11,7 +11,6 @@ namespace aio::persist {
 /// producing a franken-result; the initial Rng state makes a journal that
 /// crashed before its first checkpoint still resumable from scratch.
 struct CampaignHeader {
-    std::uint32_t formatVersion = 1;
     std::uint64_t planDigest = 0;   ///< tasks + fault plan
     std::uint64_t configDigest = 0; ///< SupervisorConfig fields
     std::array<std::uint64_t, 4> initialRngState{};

@@ -1,13 +1,13 @@
 #include "stream/consumer.hpp"
 
 #include "netbase/error.hpp"
+#include "persist/log.hpp"
 #include "stream/event_log.hpp"
 
 namespace aio::stream {
 
 namespace {
 
-constexpr std::uint8_t kJournalHeaderRecord = 1;
 constexpr std::uint8_t kKeyCheckpointRecord = 2;
 constexpr std::uint8_t kDeltaCheckpointRecord = 3;
 constexpr std::uint32_t kJournalVersion = 1;
@@ -26,75 +26,47 @@ StreamConsumer::StreamConsumer(outage::RadarConfig radar,
 StreamConsumer::ReplayedJournal
 StreamConsumer::replayCheckpoints(std::span<const std::byte> bytes) const {
     ReplayedJournal replayed;
-    // A torn tail is the expected crash signature: scanRecords truncates
-    // it, and the last *intact* checkpoint wins.
-    const persist::ScanResult scan = persist::scanRecords(bytes);
-    bool sawAnchor = false;
-    for (const auto payload : scan.payloads) {
-        persist::ByteReader reader{payload};
-        const std::uint8_t type = reader.u8();
-        if (type == kJournalHeaderRecord) {
-            if (replayed.sawHeader) {
-                throw net::CorruptionError{
-                    "checkpoint journal holds a second header"};
-            }
-            replayed.sawHeader = true;
-            const std::uint32_t version = reader.u32();
-            if (version != kJournalVersion) {
-                throw net::CorruptionError{
-                    "checkpoint journal has format version " +
-                    std::to_string(version) + ", reader understands " +
-                    std::to_string(kJournalVersion)};
-            }
-            replayed.digest = reader.u64();
-            replayed.resumedAtEvent = reader.u64();
-            if (!reader.atEnd()) {
-                throw net::CorruptionError{
-                    "checkpoint-journal header carries trailing bytes"};
-            }
-        } else if (type == kKeyCheckpointRecord ||
-                   type == kDeltaCheckpointRecord) {
-            if (!replayed.sawHeader) {
-                throw net::CorruptionError{
-                    "checkpoint journal starts without a header"};
-            }
-            const std::uint64_t eventIndex = reader.u64();
-            if (replayed.checkpointEvent.has_value() &&
-                eventIndex < *replayed.checkpointEvent) {
-                throw net::CorruptionError{
-                    "checkpoint journal rewinds its event offset"};
-            }
-            if (!sawAnchor) {
-                sawAnchor = true;
-                if (replayed.resumedAtEvent > 0 &&
-                    type == kDeltaCheckpointRecord) {
-                    throw net::CorruptionError{
-                        "continuation journal holds a delta before its "
-                        "anchor checkpoint"};
-                }
-                if (replayed.resumedAtEvent > 0 &&
-                    eventIndex != replayed.resumedAtEvent) {
-                    throw net::CorruptionError{
-                        "continuation journal's first checkpoint does "
-                        "not restate the resume point"};
-                }
-            }
-            replayed.checkpointEvent = eventIndex;
-            const auto body =
-                payload.subspan(payload.size() - reader.remaining());
-            if (type == kKeyCheckpointRecord) {
-                replayed.key = body;
-                replayed.deltas.clear();
-            } else {
-                replayed.deltas.push_back(body);
-            }
-        } else {
+    persist::LogReader reader{bytes, "checkpoint journal", kJournalVersion,
+                              kDeltaCheckpointRecord};
+    auto& header = reader.header();
+    if (!header) {
+        return replayed;
+    }
+    replayed.digest = header->u64();
+    replayed.resumedAtEvent = header->u64();
+    header->expectEnd("checkpoint-journal header");
+    // The last *intact* checkpoint wins; a continuation's first one is
+    // its anchor.
+    while (auto record = reader.next()) {
+        const std::uint64_t eventIndex = record->body.u64();
+        if (replayed.checkpointEvent.has_value() &&
+            eventIndex < *replayed.checkpointEvent) {
             throw net::CorruptionError{
-                "checkpoint journal holds unknown record type " +
-                std::to_string(type)};
+                "checkpoint journal rewinds its event offset"};
+        }
+        if (!replayed.checkpointEvent.has_value() &&
+            replayed.resumedAtEvent > 0) {
+            if (record->type == kDeltaCheckpointRecord) {
+                throw net::CorruptionError{
+                    "continuation journal holds a delta before its "
+                    "anchor checkpoint"};
+            }
+            if (eventIndex != replayed.resumedAtEvent) {
+                throw net::CorruptionError{
+                    "continuation journal's first checkpoint does "
+                    "not restate the resume point"};
+            }
+        }
+        replayed.checkpointEvent = eventIndex;
+        const auto body = record->body.raw(record->body.remaining());
+        if (record->type == kKeyCheckpointRecord) {
+            replayed.key = body;
+            replayed.deltas.clear();
+        } else {
+            replayed.deltas.push_back(body);
         }
     }
-    if (replayed.sawHeader && replayed.resumedAtEvent > 0 && !sawAnchor) {
+    if (replayed.resumedAtEvent > 0 && !replayed.checkpointEvent) {
         throw net::CorruptionError{
             "continuation journal lost its anchor checkpoint"};
     }
@@ -124,22 +96,18 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
         auto span = obs::Trace::enter(trace_, "stream.consumer.resume");
         const ReplayedJournal replayed =
             replayCheckpoints(priorCheckpoints);
-        if (replayed.sawHeader) {
-            AIO_EXPECTS(replayed.digest == digest,
-                        "checkpoint journal was written under a "
-                        "different radar/stream configuration");
+        AIO_EXPECTS(replayed.digest.value_or(digest) == digest,
+                    "checkpoint journal was written under a different "
+                    "radar/stream configuration");
+        if (replayed.key.has_value()) {
+            detector.restoreState(*replayed.key);
         }
-        if (replayed.checkpointEvent.has_value()) {
-            if (replayed.key.has_value()) {
-                detector.restoreState(*replayed.key);
-            }
-            for (const auto delta : replayed.deltas) {
-                detector.applyDelta(delta);
-            }
-            startIndex = *replayed.checkpointEvent;
-            AIO_EXPECTS(startIndex <= view.events.size(),
-                        "checkpoint lies beyond the end of the event log");
+        for (const auto delta : replayed.deltas) {
+            detector.applyDelta(delta);
         }
+        startIndex = replayed.checkpointEvent.value_or(0);
+        AIO_EXPECTS(startIndex <= view.events.size(),
+                    "checkpoint lies beyond the end of the event log");
         if (metrics_ != nullptr) {
             metrics_->counter("stream.consumer.resumes").add();
         }
@@ -149,11 +117,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
     // anchor key restating the state we resumed from, then deltas. The
     // restored detector has nothing pending, so the first delta after
     // the anchor starts from it.
-    persist::RecordWriter journal{checkpointSink};
-    const auto appendRecord = [&](std::span<const std::byte> payload) {
-        journal.append(payload);
-        checkpointSink.flush();
-    };
+    persist::LogWriter journal{checkpointSink};
     const auto appendCheckpoint = [&](std::uint64_t eventIndex, bool key) {
         obs::ScopedTimer timer{metrics_,
                                "stream.consumer.checkpoint_seconds"};
@@ -166,18 +130,18 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
         } else {
             detector.encodeDelta(payload);
         }
-        appendRecord(payload.bytes());
+        journal.append(payload.bytes());
         if (metrics_ != nullptr) {
             metrics_->counter("stream.consumer.checkpoints").add();
         }
     };
     {
         persist::ByteWriter payload;
-        payload.u8(kJournalHeaderRecord);
+        payload.u8(persist::kHeaderRecord);
         payload.u32(kJournalVersion);
         payload.u64(digest);
         payload.u64(startIndex);
-        appendRecord(payload.bytes());
+        journal.append(payload.bytes());
     }
     if (startIndex > 0) {
         appendCheckpoint(startIndex, true);

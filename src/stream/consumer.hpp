@@ -21,7 +21,7 @@ namespace aio::stream {
 /// degradation counters — the streaming analogue of CampaignJournal's
 /// resume contract, proven by the same boundary-sweep harness.
 ///
-/// Journal layout: one header record {formatVersion, configDigest,
+/// Journal layout: one header record {version, configDigest,
 /// resumedAtEvent}, then checkpoint records of two kinds. A *key*
 /// {eventIndex, detectorState} holds the full detector state
 /// (OnlineRadarDetector::encodeState); a *delta* {eventIndex,
@@ -78,8 +78,7 @@ public:
 
 private:
     struct ReplayedJournal {
-        bool sawHeader = false;
-        std::uint64_t digest = 0;
+        std::optional<std::uint64_t> digest; ///< absent without a header
         std::uint64_t resumedAtEvent = 0;
         std::optional<std::uint64_t> checkpointEvent;
         /// The last key checkpoint's state, if any, and the delta

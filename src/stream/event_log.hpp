@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "persist/record.hpp"
+#include "persist/log.hpp"
 #include "stream/event.hpp"
 
 namespace aio::stream {
@@ -14,7 +14,6 @@ namespace aio::stream {
 /// config must refuse — an online detector fed a log whose watermark or
 /// cadence differs from its own would diverge silently.
 struct EventLogHeader {
-    std::uint32_t formatVersion = 1;
     std::uint64_t configDigest = 0;
     double samplesPerDay = 4.0;
     double windowDays = 0.0;
@@ -39,15 +38,7 @@ public:
     void append(const MeasurementEvent& event);
 
 private:
-    void appendRecord(std::span<const std::byte> payload);
-
-    persist::RecordWriter writer_;
-    persist::ByteSink* sink_;
-    /// Held registry instruments; all null without a registry.
-    const obs::Clock* clock_ = nullptr;
-    obs::Histogram* appendSeconds_ = nullptr;
-    obs::Counter* appends_ = nullptr;
-    obs::Counter* bytesWritten_ = nullptr;
+    persist::LogWriter log_;
 };
 
 /// An event log read back from bytes.

@@ -371,10 +371,7 @@ void OnlineRadarDetector::restoreState(std::span<const std::byte> bytes) {
         decodeAlerts(reader, lane);
         lanes.emplace(std::move(country), std::move(lane));
     }
-    if (!reader.atEnd()) {
-        throw net::CorruptionError{
-            "detector checkpoint carries trailing bytes"};
-    }
+    reader.expectEnd("detector checkpoint");
     // Metrics count events as they are ingested, so a resumed process
     // reports the work it does, not the work the crashed process
     // already reported.
@@ -455,9 +452,7 @@ void OnlineRadarDetector::applyDelta(std::span<const std::byte> bytes) {
         }
         decodeAlerts(reader, lane);
     }
-    if (!reader.atEnd()) {
-        throw net::CorruptionError{"detector delta carries trailing bytes"};
-    }
+    reader.expectEnd("detector delta");
 }
 
 } // namespace aio::stream
