@@ -175,19 +175,18 @@ const CountryTable& CountryTable::world() {
     return table;
 }
 
+const Country* CountryTable::find(std::string_view iso2) const {
+    const auto it = std::ranges::find(countries_, iso2, &Country::iso2);
+    return it == countries_.end() ? nullptr : &*it;
+}
+
 const Country& CountryTable::byCode(std::string_view iso2) const {
-    const auto it = std::ranges::find_if(
-        countries_, [&](const Country& c) { return c.iso2 == iso2; });
-    if (it == countries_.end()) {
+    const Country* country = find(iso2);
+    if (country == nullptr) {
         throw NotFoundError{"unknown country code: '" + std::string{iso2} +
                             "'"};
     }
-    return *it;
-}
-
-bool CountryTable::contains(std::string_view iso2) const {
-    return std::ranges::any_of(
-        countries_, [&](const Country& c) { return c.iso2 == iso2; });
+    return *country;
 }
 
 std::vector<const Country*> CountryTable::inRegion(Region region) const {

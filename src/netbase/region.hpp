@@ -72,10 +72,15 @@ public:
 
     [[nodiscard]] std::span<const Country> all() const { return countries_; }
 
-    /// Lookup by ISO-3166 alpha-2 code; throws NotFoundError when unknown.
+    /// Lookup by ISO-3166 alpha-2 code; null when unknown.
+    [[nodiscard]] const Country* find(std::string_view iso2) const;
+
+    /// find() that throws NotFoundError when the code is unknown.
     [[nodiscard]] const Country& byCode(std::string_view iso2) const;
 
-    [[nodiscard]] bool contains(std::string_view iso2) const;
+    [[nodiscard]] bool contains(std::string_view iso2) const {
+        return find(iso2) != nullptr;
+    }
 
     /// Countries belonging to one region (stable order).
     [[nodiscard]] std::vector<const Country*> inRegion(Region region) const;

@@ -68,9 +68,10 @@ CableRegistry::cablesToEurope(std::string_view iso2) const {
         }
         const bool reachesEurope = std::ranges::any_of(
             cables_[id].landings, [&](const LandingStation& station) {
-                return world.contains(station.countryCode) &&
-                       world.byCode(station.countryCode).region ==
-                           net::Region::Europe;
+                const net::Country* country =
+                    world.find(station.countryCode);
+                return country != nullptr &&
+                       country->region == net::Region::Europe;
             });
         if (reachesEurope) {
             out.push_back(id);
