@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "core/budget.hpp"
 #include "core/observatory.hpp"
@@ -23,6 +24,7 @@
 #include "resilience/supervisor.hpp"
 #include "routing/oracle_cache.hpp"
 #include "routing/path_oracle.hpp"
+#include "routing/route_kernel.hpp"
 #include "routing/sharded_oracle.hpp"
 #include "scenario/catalog.hpp"
 #include "plan/planner.hpp"
@@ -368,6 +370,65 @@ BENCHMARK(BM_ContinentOracleBuild)
     ->Args({1, 50000}) // dense 50k would cross its capacity ceiling
     ->Unit(benchmark::kMillisecond);
 
+// Route-kernel rows under a corridor cut beside unfiltered rows on the
+// 10k continent: the price of the compiled filter's link test where a
+// cut's endpoints crowd the landing hubs. Mode 0 solves ~400 evenly
+// strided destination rows with no filter; mode 1 solves the same rows
+// under the four-cable west-corridor cut (WACS, MainOne, SAT-3, ACE),
+// derived through the link map a default Substrate draws. Each row
+// resets only the ASes it routed, as the sweep's destination loop does.
+// Compare the two rows' time per iteration (same row count).
+void BM_KernelCorridorRows(benchmark::State& state) {
+    const bool corridor = state.range(0) != 0;
+    const auto& topo = continent(10000);
+    route::LinkFilter filter;
+    if (corridor) {
+        const auto registry = phys::CableRegistry::africanDefaults();
+        net::Rng rng{core::Substrate::Options{}.seed};
+        const phys::PhysicalLinkMap linkMap{topo, registry, rng};
+        std::unordered_set<phys::CableId> cuts;
+        for (const char* name : {"WACS", "MainOne", "SAT-3", "ACE"}) {
+            cuts.insert(registry.byName(name));
+        }
+        for (const auto& [a, b] : linkMap.failedLinks(cuts)) {
+            filter.disableLink(a, b);
+        }
+    }
+    const std::size_t n = topo.asCount();
+    const route::kernel::CompiledFilter compiled{filter, n};
+    std::vector<topo::AsIndex> rows;
+    const std::size_t stride = std::max<std::size_t>(1, n / 400);
+    for (topo::AsIndex dst = 0; dst < n; dst += stride) {
+        rows.push_back(dst);
+    }
+    route::kernel::DestScratch scratch;
+    scratch.prepare(n);
+    std::vector<std::int32_t> next(n);
+    std::vector<std::uint8_t> klass(
+        n, static_cast<std::uint8_t>(route::RouteClass::None));
+    for (auto _ : state) {
+        for (const topo::AsIndex dst : rows) {
+            const std::size_t routed = route::kernel::solveDestination(
+                topo, compiled, dst, next.data(), klass.data(), scratch);
+            for (std::size_t r = 0; r < routed; ++r) {
+                klass[scratch.queue[r]] =
+                    static_cast<std::uint8_t>(route::RouteClass::None);
+            }
+        }
+        benchmark::DoNotOptimize(klass.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rows.size()));
+    state.SetLabel(std::to_string(n) + " ASes, " +
+                   std::to_string(rows.size()) + " rows, " +
+                   std::to_string(filter.disabledLinkCount()) +
+                   " links disabled");
+}
+BENCHMARK(BM_KernelCorridorRows)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 // Scenario throughput under the sharded policy at continental scale: the
 // same sweep engine and specs as BM_ScenarioSweep, run over a substrate
 // whose impact.routeStorage is Sharded. items/sec is scenarios/sec.
@@ -410,11 +471,11 @@ void BM_ShardedSweepScenarios(benchmark::State& state) {
         "EASSy", "EIG",     "AAE-1", "Equiano", "2Africa"};
     net::Rng rng{2718};
     std::vector<core::ScenarioSpec> scenarios;
-    // One scenario is the whole story at 50k: scoring issues ~n route
-    // queries whose destination working set (local resolvers + site
-    // hosts) spans most of the index space, and a corridor cut dirties
-    // most of those rows — per-scenario cost is row re-solves, and it
-    // repeats per scenario. More scenarios would just multiply minutes.
+    // One scenario at 50k. A cacheless sweep scores each routing state
+    // destination-major: it solves the analyzer's query-plan rows (each
+    // eyeball's resolver and its country's sampled site hosts, about a
+    // third of the ASes) across the pool's lanes and builds no oracle,
+    // so each further scenario adds one more pass over those rows.
     const int sets = target > 10000 ? 1 : 16;
     for (int set = 0; set < sets; ++set) {
         std::vector<std::string> cuts;

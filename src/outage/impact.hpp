@@ -1,11 +1,14 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "content/catalog.hpp"
 #include "dns/resolver.hpp"
+#include "exec/cancel.hpp"
 #include "outage/events.hpp"
 #include "routing/oracle_cache.hpp"
 #include "routing/route_oracle.hpp"
@@ -87,7 +90,8 @@ public:
     /// `oracleCache` / `pool` are optional accelerators (not owned, must
     /// outlive the analyzer): the cache reuses degraded PathOracles across
     /// scenarios sharing a failure filter (it is seeded with the baseline
-    /// oracle on construction), the pool parallelizes oracle builds.
+    /// oracle on construction), the pool parallelizes oracle builds and
+    /// routingImpacts' row solves.
     /// `metrics` (optional, not owned) records assessment counts and the
     /// `impact.assess_seconds` histogram, one sample per score().
     /// `resolvers` and `catalog` are read only here: the per-country
@@ -118,6 +122,30 @@ public:
     /// resolver gates its page loads and counts toward the DNS share.
     [[nodiscard]] RoutingImpact
     routingImpact(const route::RouteOracle& oracle) const;
+
+    /// routingImpact for each routing state in `states`, bitwise equal to
+    /// routingImpact of an oracle built for that filter, but computed
+    /// destination-major and without building one. Per state, the pool's
+    /// lanes solve only the query plan's destination rows (the resolvers
+    /// and sampled site hosts of the countries routingImpact walks) with
+    /// the route kernel under the state's compiled filter, and record one
+    /// reachability byte per (client, destination) query; each country's
+    /// walk then reads those bytes in routingImpact's order. A bounded
+    /// number of states is in flight at once, so the query bytes held do
+    /// not grow with states.size(). `cancel` (optional, not owned) is
+    /// polled at the pool's chunk boundaries, or between rows without a
+    /// pool. A non-empty `stateSeconds` (1:1 with `states`) receives each
+    /// state's lane seconds — its row solves plus its walk — on the
+    /// metrics registry's clock; it is left as given without a registry.
+    [[nodiscard]] std::vector<RoutingImpact>
+    routingImpacts(std::span<const route::LinkFilter* const> states,
+                   const exec::CancelToken* cancel = nullptr,
+                   std::span<double> stateSeconds = {}) const;
+
+    /// Distinct destination rows routingImpacts solves per routing state.
+    [[nodiscard]] std::size_t plannedDestinations() const {
+        return plan_.destinations.size();
+    }
 
     /// The per-scenario rest of an assessment: the impact threshold, the
     /// coastal-gateway survivor test and the recovery draws for each
@@ -157,8 +185,28 @@ private:
         std::vector<Site> sites; ///< the first siteSample top sites
         double sitePopularity = 0.0; ///< Σ popularity over `sites`
         double baselineSuccess = 0.0;
+        /// Query slot of the first eyeball's resolver (QueryPlan).
+        std::size_t firstSlot = 0;
         /// Cables from the country's coastal gateway to Europe.
         std::vector<phys::CableId> gatewayCables;
+    };
+
+    /// Every routing question the walks of the countries routingImpact
+    /// scores can ask, fixed at construction. A query slot is one
+    /// (client, destination) pair: country c's eyeball i asks about its
+    /// resolver in slot c.firstSlot + i * (1 + |c.sites|) and about site
+    /// j in the j + 1 slots after that, so slots run in walk order.
+    struct QueryPlan {
+        struct Query {
+            std::uint32_t client = 0;
+            std::uint32_t slot = 0;
+        };
+        std::vector<topo::AsIndex> destinations; ///< distinct, ascending
+        /// destinations[d]'s queries are queries[offsets[d], offsets[d+1]),
+        /// in slot order.
+        std::vector<std::uint32_t> offsets;
+        std::vector<Query> queries;
+        std::size_t slots = 0;
     };
 
     struct CountryWalk {
@@ -167,9 +215,18 @@ private:
     };
 
     /// Popularity-weighted page-load success (DNS *and* content
-    /// reachable) and DNS failure share of one country under `oracle`.
+    /// reachable) and DNS failure share of one country, where
+    /// `reachable(country, i, k)` answers whether eyeball i reaches its
+    /// resolver (k = 0) or site k - 1.
+    template <typename Reach>
     [[nodiscard]] static CountryWalk walk(const CountryScoring& country,
-                                          const route::RouteOracle& oracle);
+                                          const Reach& reachable);
+
+    /// routingImpact over the walks `reachable` answers.
+    template <typename Reach>
+    [[nodiscard]] RoutingImpact impactOf(const Reach& reachable) const;
+
+    void buildQueryPlan();
 
     const topo::Topology* topo_;
     const phys::PhysicalLinkMap* linkMap_;
@@ -179,6 +236,7 @@ private:
     obs::MetricsRegistry* metrics_;
     std::shared_ptr<const route::RouteOracle> baselineOracle_;
     std::vector<CountryScoring> countries_; ///< CountryTable::african() order
+    QueryPlan plan_;
 };
 
 } // namespace aio::outage

@@ -34,6 +34,17 @@ PhysicalLinkMap::PhysicalLinkMap(const topo::Topology& topology,
     for (const topo::AsLink& link : topology.links()) {
         paths_.emplace(key(link.a, link.b), assign(link, rng));
     }
+    for (const topo::AsLink& link : topology.links()) {
+        const PhysicalPath& path = forLink(link.a, link.b);
+        if (path.medium != MediumKind::Subsea || path.cables.empty()) {
+            continue;
+        }
+        subsea_.push_back({link.a, link.b,
+                           static_cast<std::uint32_t>(carriers_.size()),
+                           static_cast<std::uint32_t>(path.cables.size())});
+        carriers_.insert(carriers_.end(), path.cables.begin(),
+                         path.cables.end());
+    }
 }
 
 PhysicalPath PhysicalLinkMap::assign(const topo::AsLink& link,
@@ -131,15 +142,18 @@ PhysicalLinkMap::linksUsingCable(CableId cable) const {
 
 std::vector<std::pair<topo::AsIndex, topo::AsIndex>>
 PhysicalLinkMap::failedLinks(const std::unordered_set<CableId>& cuts) const {
-    std::vector<std::pair<topo::AsIndex, topo::AsIndex>> out;
-    for (const topo::AsLink& link : topo_->links()) {
-        const PhysicalPath& path = forLink(link.a, link.b);
-        if (path.medium != MediumKind::Subsea) {
-            continue;
+    // Every carrier is a registry id; others cut nothing this map routes.
+    std::vector<std::uint8_t> cut(registry_->cableCount(), 0);
+    for (const CableId cable : cuts) {
+        if (cable < cut.size()) {
+            cut[cable] = 1;
         }
-        const bool allCut = std::ranges::all_of(
-            path.cables, [&](CableId c) { return cuts.contains(c); });
-        if (allCut && !path.cables.empty()) {
+    }
+    std::vector<std::pair<topo::AsIndex, topo::AsIndex>> out;
+    for (const SubseaLink& link : subsea_) {
+        const auto first = carriers_.begin() + link.first;
+        if (std::all_of(first, first + link.count,
+                        [&](CableId c) { return cut[c] != 0; })) {
             out.emplace_back(link.a, link.b);
         }
     }

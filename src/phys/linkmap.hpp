@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,7 +60,9 @@ public:
     linksUsingCable(CableId cable) const;
 
     /// AS adjacencies that are DOWN when every cable in `cuts` is severed
-    /// (i.e. subsea links whose carriers are all cut).
+    /// (i.e. subsea links whose carriers are all cut), in topology link
+    /// order. Walks a flat list of the subsea links against one flag per
+    /// cable, so a call reads no hash table per link.
     [[nodiscard]] std::vector<std::pair<topo::AsIndex, topo::AsIndex>>
     failedLinks(const std::unordered_set<CableId>& cuts) const;
 
@@ -84,6 +87,16 @@ private:
     const CableRegistry* registry_;
     LinkMapConfig config_;
     std::unordered_map<std::uint64_t, PhysicalPath> paths_;
+
+    /// A subsea link and its carriers, carriers_[first, first + count).
+    struct SubseaLink {
+        topo::AsIndex a = 0;
+        topo::AsIndex b = 0;
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
+    };
+    std::vector<SubseaLink> subsea_; ///< topology link order
+    std::vector<CableId> carriers_;
 };
 
 } // namespace aio::phys

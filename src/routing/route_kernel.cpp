@@ -18,15 +18,35 @@ constexpr auto kProvider = static_cast<std::uint8_t>(RouteClass::Provider);
 
 CompiledFilter::CompiledFilter(const LinkFilter& filter, std::size_t asCount)
     : flags_(asCount, 0) {
-    for (const auto& [a, b] : filter.disabledLinks()) {
-        if (a >= asCount || b >= asCount) {
-            continue; // not a topology adjacency; cannot carry routes
+    auto links = filter.disabledLinks();
+    std::erase_if(links, [&](const auto& link) {
+        // Not a topology adjacency; cannot carry routes.
+        return link.first >= asCount || link.second >= asCount;
+    });
+    if (!links.empty()) {
+        // Counting sort of both directions of every link into per-AS
+        // lists, then each list in ascending order.
+        offsets_.assign(asCount + 1, 0);
+        for (const auto& [a, b] : links) {
+            ++offsets_[a + 1];
+            ++offsets_[b + 1];
         }
-        flags_[a] |= kLinkEndpoint;
-        flags_[b] |= kLinkEndpoint;
-        links_.push_back(linkKey(a, b));
+        for (std::size_t as = 0; as < asCount; ++as) {
+            offsets_[as + 1] += offsets_[as];
+        }
+        neighbours_.resize(offsets_[asCount]);
+        std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+        for (const auto& [a, b] : links) {
+            flags_[a] |= kLinkEndpoint;
+            flags_[b] |= kLinkEndpoint;
+            neighbours_[fill[a]++] = static_cast<std::uint32_t>(b);
+            neighbours_[fill[b]++] = static_cast<std::uint32_t>(a);
+        }
+        for (std::size_t as = 0; as < asCount; ++as) {
+            std::sort(neighbours_.begin() + offsets_[as],
+                      neighbours_.begin() + offsets_[as + 1]);
+        }
     }
-    std::ranges::sort(links_);
     if (filter.disabledAsCount() == 0) {
         return;
     }
@@ -52,15 +72,15 @@ std::size_t DestScratch::bytesFor(std::size_t n) {
 // later parent at the same distance takes over the next hop when its
 // ASN ranks lower, which leaves exactly the lowest-ASN parent — the
 // first one an ASN-ordered walk of the level would have met.
-void solveDestination(const topo::Topology& topology,
-                      const CompiledFilter& filter, topo::AsIndex dst,
-                      std::int32_t* next, std::uint8_t* klass,
-                      DestScratch& scratch) {
+std::size_t solveDestination(const topo::Topology& topology,
+                             const CompiledFilter& filter, topo::AsIndex dst,
+                             std::int32_t* next, std::uint8_t* klass,
+                             DestScratch& scratch) {
     const std::size_t n = topology.asCount();
     AIO_EXPECTS(filter.asCount() == n && scratch.dist.size() == n,
                 "filter and scratch must match the topology size");
     if (!filter.asAllowed(dst)) {
-        return;
+        return 0;
     }
     // dist is read only where this solve wrote it (ASes whose class it
     // set), so it needs no reset between destinations.
@@ -138,6 +158,7 @@ void solveDestination(const topo::Topology& topology,
         relaxLevel(peer, peerEnd, b);
         relaxLevel(reached, tail, b); // stops before the b + 1 it appends
     }
+    return tail;
 }
 
 } // namespace aio::route::kernel

@@ -16,10 +16,10 @@ namespace aio::route::kernel {
 /// A LinkFilter compiled for the kernel's inner loops, so solving a
 /// destination does no hash lookup: one flag byte per AS (disabled /
 /// endpoint of a disabled link) answers every AS test, and every link
-/// test whose endpoints are not both flagged; only the rest probe the
-/// exact link set, by binary search over its sorted keys. Entries naming
-/// an AS index >= asCount cannot touch a route and are dropped. Compile
-/// once per oracle build; immutable afterwards.
+/// test whose endpoints are not both flagged; only the rest search one
+/// endpoint's sorted list of disabled neighbours, the shorter of the
+/// two. Entries naming an AS index >= asCount cannot touch a route and
+/// are dropped. Compile once per routing state; immutable afterwards.
 class CompiledFilter {
 public:
     CompiledFilter(const LinkFilter& filter, std::size_t asCount);
@@ -33,27 +33,34 @@ public:
         if ((flags_[a] & flags_[b] & kLinkEndpoint) == 0) {
             return true;
         }
-        return !std::binary_search(links_.begin(), links_.end(),
-                                   linkKey(a, b));
+        const std::uint32_t* aFirst = neighbours_.data() + offsets_[a];
+        const std::uint32_t* aLast = neighbours_.data() + offsets_[a + 1];
+        const std::uint32_t* bFirst = neighbours_.data() + offsets_[b];
+        const std::uint32_t* bLast = neighbours_.data() + offsets_[b + 1];
+        return aLast - aFirst <= bLast - bFirst
+                   ? !std::binary_search(aFirst, aLast,
+                                         static_cast<std::uint32_t>(b))
+                   : !std::binary_search(bFirst, bLast,
+                                         static_cast<std::uint32_t>(a));
     }
 
-    /// Resident bytes: the flag array plus the disabled-link keys.
+    /// Resident bytes: the flag array plus the disabled-neighbour lists
+    /// and their offsets.
     [[nodiscard]] std::size_t memoryBytes() const {
-        return flags_.size() + links_.size() * sizeof(std::uint64_t);
+        return flags_.size() +
+               (offsets_.size() + neighbours_.size()) * sizeof(std::uint32_t);
     }
 
 private:
     static constexpr std::uint8_t kAsDisabled = 1;
     static constexpr std::uint8_t kLinkEndpoint = 2;
 
-    static std::uint64_t linkKey(topo::AsIndex a, topo::AsIndex b) {
-        const auto lo = static_cast<std::uint64_t>(a < b ? a : b);
-        const auto hi = static_cast<std::uint64_t>(a < b ? b : a);
-        return (hi << 32) | lo;
-    }
-
-    std::vector<std::uint8_t> flags_;  ///< per AS: kAsDisabled | kLinkEndpoint
-    std::vector<std::uint64_t> links_; ///< sorted keys of disabled links
+    std::vector<std::uint8_t> flags_; ///< per AS: kAsDisabled | kLinkEndpoint
+    /// AS i's disabled neighbours are neighbours_[offsets_[i],
+    /// offsets_[i + 1]), ascending. Both are empty when no link is
+    /// disabled, since then no AS carries kLinkEndpoint.
+    std::vector<std::uint32_t> offsets_;
+    std::vector<std::uint32_t> neighbours_;
 };
 
 /// Reusable per-lane working set: one of these per pool lane, so the
@@ -79,14 +86,21 @@ struct DestScratch {
 /// into the caller's n-element row arrays. Reads only flat arrays: the
 /// topology's adjacency arena and ASN ranks, and the compiled filter.
 ///
-/// Contract: `next` / `klass` must arrive pre-filled with -1 /
-/// RouteClass::None — the kernel writes only the nodes it reaches.
-/// Every tie breaks by ASN, never by arrival order, so the output row is
-/// a pure function of (topology, filter, dst): whichever thread, lane, or
-/// storage policy runs this produces the same bytes.
-void solveDestination(const topo::Topology& topology,
-                      const CompiledFilter& filter, topo::AsIndex dst,
-                      std::int32_t* next, std::uint8_t* klass,
-                      DestScratch& scratch);
+/// Contract: `klass` must arrive pre-filled with RouteClass::None — the
+/// kernel writes `next` / `klass` only for the nodes it reaches, and
+/// reads `next` only where it has set `klass`, so `next` holds -1 for the
+/// unreached nodes exactly when it arrived so. Every tie breaks by ASN,
+/// never by arrival order, so the output row is a pure function of
+/// (topology, filter, dst): whichever thread, lane, or storage policy
+/// runs this produces the same bytes.
+///
+/// Returns how many ASes the solve routed: they are
+/// `scratch.queue[0, count)`, so a caller that reuses one row pair
+/// across destinations restores the contract by resetting just those
+/// `klass` entries.
+std::size_t solveDestination(const topo::Topology& topology,
+                             const CompiledFilter& filter, topo::AsIndex dst,
+                             std::int32_t* next, std::uint8_t* klass,
+                             DestScratch& scratch);
 
 } // namespace aio::route::kernel

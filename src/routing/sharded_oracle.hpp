@@ -103,8 +103,8 @@ public:
     /// land, leaving the LRU tail resident.
     void materializeAll(exec::WorkerPool* pool = nullptr) const;
 
-    /// Materializes the given destination rows (the sweep warms exactly
-    /// the destinations its scoring touches).
+    /// Materializes the given destination rows, in order, under the
+    /// budget (a benchmark prices a build plus a row sample with it).
     void materializeDestinations(std::span<const topo::AsIndex> dsts) const;
 
     // ---- introspection (tests, benches, docs) ----

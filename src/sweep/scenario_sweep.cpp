@@ -38,7 +38,8 @@ struct PlainJob {
 /// One unique cut-set routing state shared by >= 1 plain scenarios.
 struct OracleJob {
     route::LinkFilter filter;
-    std::shared_ptr<const route::RouteOracle> oracle; ///< resolved
+    /// Resolved, unless the state was scored destination-major.
+    std::shared_ptr<const route::RouteOracle> oracle;
     bool fromCache = false;
     /// The routing half of every score against this state, computed once
     /// in the build phase.
@@ -193,47 +194,77 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
 
     // ---- build: resolve each unique degraded routing state and its
     // routing impact ----
+    // Without a cache to fill or detour samples to draw, nothing reads a
+    // state's routes beyond its routing impact, so the states are scored
+    // destination-major and no oracle is built. Full mode stays the
+    // build-per-scenario reference; a wired-in cache keeps receiving the
+    // oracles it memoizes.
+    const bool destinationMajor =
+        dedupe && cache == nullptr && !options_.scenarioAggregates;
     {
         checkpoint();
         const obs::Span buildSpan = obs::Trace::enter(trace, "build");
-        if (cache != nullptr && dedupe) {
-            // Cache lookups stay on the coordinating thread: a peek never
-            // builds, so this is cheap, and it keeps lane work lock-free.
-            for (OracleJob& job : oracles) {
-                if (auto hit = cache->peek(job.filter)) {
-                    job.oracle = std::move(hit);
-                    job.fromCache = true;
-                    ++result.stats.dedupHits;
+        if (destinationMajor) {
+            std::vector<const route::LinkFilter*> filters;
+            filters.reserve(oracles.size());
+            for (const OracleJob& job : oracles) {
+                filters.push_back(&job.filter);
+            }
+            std::vector<double> seconds(metrics != nullptr ? oracles.size()
+                                                           : 0);
+            std::vector<outage::RoutingImpact> impacts =
+                analyzer.routingImpacts(filters, options_.cancel, seconds);
+            for (std::size_t j = 0; j < oracles.size(); ++j) {
+                oracles[j].impact = std::move(impacts[j]);
+            }
+            for (const double s : seconds) {
+                metrics->histogram("sweep.impact_seconds").record(s);
+            }
+            result.stats.incrementalBuilds = oracles.size();
+            result.stats.dirtyDestinations =
+                oracles.size() * analyzer.plannedDestinations();
+        } else {
+            if (cache != nullptr && dedupe) {
+                // Cache lookups stay on the coordinating thread: a peek
+                // never builds, so this is cheap, and it keeps lane work
+                // lock-free.
+                for (OracleJob& job : oracles) {
+                    if (auto hit = cache->peek(job.filter)) {
+                        job.oracle = std::move(hit);
+                        job.fromCache = true;
+                        ++result.stats.dedupHits;
+                    }
                 }
             }
-        }
-        forEach(pool, oracles.size(), [&](std::size_t j) {
-            OracleJob& job = oracles[j];
-            if (job.oracle == nullptr) {
-                const obs::ScopedTimer buildTimer{metrics,
-                                                  "sweep.build_seconds"};
-                job.oracle = buildDegraded(job.filter);
-            }
-            // Cache hits need it too: it depends only on the oracle, which
-            // is the state every scenario sharing it scores against.
-            const obs::ScopedTimer impactTimer{metrics,
-                                               "sweep.impact_seconds"};
-            job.impact = analyzer.routingImpact(*job.oracle);
-        }, options_.cancel);
-        for (const OracleJob& job : oracles) {
-            if (job.fromCache) {
-                continue;
-            }
-            if (dedupe) {
-                ++result.stats.incrementalBuilds;
-            } else {
-                ++result.stats.fullBuilds;
-            }
-        }
-        if (cache != nullptr && dedupe) {
+            forEach(pool, oracles.size(), [&](std::size_t j) {
+                OracleJob& job = oracles[j];
+                if (job.oracle == nullptr) {
+                    const obs::ScopedTimer buildTimer{metrics,
+                                                      "sweep.build_seconds"};
+                    job.oracle = buildDegraded(job.filter);
+                }
+                // Cache hits need it too: it depends only on the oracle,
+                // which is the state every scenario sharing it scores
+                // against.
+                const obs::ScopedTimer impactTimer{metrics,
+                                                   "sweep.impact_seconds"};
+                job.impact = analyzer.routingImpact(*job.oracle);
+            }, options_.cancel);
             for (const OracleJob& job : oracles) {
-                if (!job.fromCache) {
-                    cache->seed(job.filter, job.oracle);
+                if (job.fromCache) {
+                    continue;
+                }
+                if (dedupe) {
+                    ++result.stats.incrementalBuilds;
+                } else {
+                    ++result.stats.fullBuilds;
+                }
+            }
+            if (cache != nullptr && dedupe) {
+                for (const OracleJob& job : oracles) {
+                    if (!job.fromCache) {
+                        cache->seed(job.filter, job.oracle);
+                    }
                 }
             }
         }
@@ -257,13 +288,13 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
         }, options_.cancel);
     }
 
-    // Solved rows are read once the build phase's routing-impact walks and
-    // the aggregates phase's detour samples are done (scoring queries no
-    // oracle): a dense build solved every row at construction, but a
-    // sharded one solves rows lazily as those queries touch them —
-    // reading here reports what the batch actually paid.
+    // Solved rows of built oracles are read once the build phase's
+    // routing-impact walks and the aggregates phase's detour samples are
+    // done (scoring queries no oracle): a dense build solved every row at
+    // construction, but a sharded one solves rows lazily as those queries
+    // touch them — reading here reports what the batch actually paid.
     for (const OracleJob& job : oracles) {
-        if (!job.fromCache) {
+        if (job.oracle != nullptr && !job.fromCache) {
             result.stats.dirtyDestinations += job.oracle->solvedRows();
         }
     }

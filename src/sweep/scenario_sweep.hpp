@@ -14,13 +14,15 @@
 
 namespace aio::sweep {
 
-/// How the sweep shares degraded routing states between scenarios. Both
-/// modes build each routing state from scratch under the substrate's
-/// storage policy (route::buildOracle); they differ only in sharing.
+/// How the sweep shares degraded routing states between scenarios. Every
+/// routing state is solved from scratch; the modes differ in sharing.
 enum class RecomputeMode {
-    /// Dedupe scenarios by cut-set digest and build each unique degraded
-    /// oracle once, sharing it through the substrate's oracle cache when
-    /// one is wired in. The production mode.
+    /// Dedupe scenarios by cut-set digest and solve each unique routing
+    /// state once. Without an oracle cache or scenarioAggregates, the
+    /// states are scored destination-major and no oracle is built;
+    /// otherwise each is one build under the substrate's storage policy,
+    /// shared through the cache when one is wired in. The production
+    /// mode.
     Incremental,
     /// One oracle per scenario, no dedupe, no cache — the
     /// per-scenario-recompute reference the differential harness and the
@@ -60,12 +62,16 @@ struct SweepStats {
     /// scenario in this batch (same cut-set digest) or with the
     /// substrate's oracle cache.
     std::size_t dedupHits = 0;
-    /// Degraded oracles built, by mode (cache hits build nothing).
+    /// Unique degraded routing states solved, by mode: in Incremental
+    /// mode those scored destination-major plus the oracles built (cache
+    /// hits solve nothing), in Full mode one oracle per scenario.
     std::size_t incrementalBuilds = 0;
     std::size_t fullBuilds = 0;
-    /// Destination rows those builds solved (RouteOracle::solvedRows,
-    /// read after the routing-impact walks and detour samples): every row
-    /// of a dense build, the rows those queries touched of a sharded one.
+    /// Destination rows those states solved: the analyzer's query-plan
+    /// rows (ImpactAnalyzer::plannedDestinations) per destination-major
+    /// state; per built oracle, RouteOracle::solvedRows read after the
+    /// routing-impact walks and detour samples — every row of a dense
+    /// build, the rows those queries touched of a sharded one.
     std::size_t dirtyDestinations = 0;
     /// Scenarios that changed a derived layer (cables added / config
     /// overrides) and therefore re-derived their stack per scenario.
@@ -173,15 +179,20 @@ struct BatchSweepResult {
 /// WhatIfEngine::assess — the equivalence the differential harness in
 /// tests/sweep locks — but sharing everything shareable:
 ///
-///  * scenarios with the same cut-set digest share one degraded oracle
-///    (and the substrate's OracleCache, when wired, shares them across
-///    sweeps);
-///  * each unique cut set is one from-scratch build under the
-///    substrate's storage policy — every row eagerly under dense, each
-///    queried row lazily under sharded;
-///  * independent scenarios are scheduled across the substrate's
-///    WorkerPool (oracle builds never nest inside pool lanes — the inner
-///    recomputes run sequentially per lane).
+///  * scenarios with the same cut-set digest share one routing state,
+///    and its routing impact is computed once;
+///  * an Incremental batch with no oracle cache wired in and no
+///    scenarioAggregates scores its states destination-major
+///    (ImpactAnalyzer::routingImpacts): the pool's lanes solve only the
+///    destination rows scoring reads, and no oracle is built;
+///  * otherwise each unique cut set is one from-scratch oracle build
+///    under the substrate's storage policy — every row eagerly under
+///    dense, each queried row lazily under sharded — shared across
+///    sweeps through the substrate's OracleCache when one is wired in;
+///    Full mode and overlay scenarios always build;
+///  * independent work is scheduled across the substrate's WorkerPool
+///    (oracle builds never nest inside pool lanes — each runs
+///    sequentially in its lane).
 ///
 /// A malformed scenario degrades to an Error outcome in its slot; the
 /// rest of the batch is unaffected.

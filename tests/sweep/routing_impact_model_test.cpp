@@ -4,7 +4,9 @@
 // recomputes every African country's page-load loss and DNS failure
 // share from public APIs only: the topology's per-country AS lists, each
 // eyeball's resolver, the country's top sites, the oracle's reachability
-// and the DNS simulator's resolvable share. Doubles compare exactly.
+// and the DNS simulator's resolvable share. Doubles compare exactly. The
+// destination-major routingImpacts, which the sweep scores cacheless
+// batches with, is held to the same model.
 
 #include <gtest/gtest.h>
 
@@ -114,15 +116,9 @@ std::vector<ModelLoss> modelImpact(const core::Substrate& substrate,
     return out;
 }
 
-/// The analyzer's routing impact equals the model's, country for
-/// country; returns how many countries it lists.
-std::size_t expectModel(const core::Substrate& substrate,
-                        const route::RouteOracle& baseline,
-                        const route::RouteOracle& degraded) {
-    const std::vector<ModelLoss> model =
-        modelImpact(substrate, baseline, degraded);
-    const outage::RoutingImpact got =
-        substrate.analyzer().routingImpact(degraded);
+/// `got` equals the model's losses, country for country.
+void expectMatches(const outage::RoutingImpact& got,
+                   const std::vector<ModelLoss>& model) {
     EXPECT_EQ(got.countries.size(), model.size());
     const auto african = net::CountryTable::world().african();
     for (std::size_t i = 0;
@@ -136,6 +132,32 @@ std::size_t expectModel(const core::Substrate& substrate,
         EXPECT_EQ(got.countries[i].pageLoadLoss, model[i].pageLoadLoss);
         EXPECT_EQ(got.countries[i].dnsFailureShare,
                   model[i].dnsFailureShare);
+    }
+}
+
+/// The analyzer's routing impact equals the model's, country for
+/// country: over the oracle built for `filter` (`degraded`), and
+/// destination-major over `filter` itself. Returns how many countries
+/// the model lists.
+std::size_t expectModel(const core::Substrate& substrate,
+                        const route::RouteOracle& baseline,
+                        const route::LinkFilter& filter,
+                        const route::RouteOracle& degraded) {
+    const std::vector<ModelLoss> model =
+        modelImpact(substrate, baseline, degraded);
+    {
+        SCOPED_TRACE("routingImpact over the oracle");
+        expectMatches(substrate.analyzer().routingImpact(degraded), model);
+    }
+    {
+        SCOPED_TRACE("routingImpacts, destination-major");
+        const route::LinkFilter* states[] = {&filter};
+        const std::vector<outage::RoutingImpact> got =
+            substrate.analyzer().routingImpacts(states);
+        EXPECT_EQ(got.size(), 1u);
+        if (!got.empty()) {
+            expectMatches(got.front(), model);
+        }
     }
     return model.size();
 }
@@ -161,12 +183,11 @@ protected:
                                   substrate_.impactConfig().shardedRouting);
     }
 
-    /// A fresh oracle for the filter `event` derives, drawing from the
-    /// stream assess() would.
-    [[nodiscard]] std::shared_ptr<const route::RouteOracle>
-    oracleFor(const outage::OutageEvent& event) const {
+    /// The filter `event` derives, drawing from the stream assess() would.
+    [[nodiscard]] route::LinkFilter
+    filterFor(const outage::OutageEvent& event) const {
         net::Rng rng{substrate_.seed() + 7};
-        return oracleFor(substrate_.analyzer().filterFor(event, rng));
+        return substrate_.analyzer().filterFor(event, rng);
     }
 
     [[nodiscard]] outage::OutageEvent
@@ -182,22 +203,22 @@ protected:
 };
 
 TEST_P(RoutingImpactModel, BaselineStateListsNoCountry) {
-    EXPECT_EQ(expectModel(substrate_, baseline(), baseline()), 0u);
-    EXPECT_EQ(
-        expectModel(substrate_, baseline(), *oracleFor(route::LinkFilter{})),
-        0u);
+    const route::LinkFilter none;
+    EXPECT_EQ(expectModel(substrate_, baseline(), none, baseline()), 0u);
+    EXPECT_EQ(expectModel(substrate_, baseline(), none, *oracleFor(none)),
+              0u);
 }
 
 TEST_P(RoutingImpactModel, WestCorridorCut) {
-    EXPECT_GT(expectModel(substrate_, baseline(),
-                          *oracleFor(cut({"WACS", "MainOne", "SAT-3",
-                                          "ACE"}))),
+    const route::LinkFilter filter =
+        filterFor(cut({"WACS", "MainOne", "SAT-3", "ACE"}));
+    EXPECT_GT(expectModel(substrate_, baseline(), filter, *oracleFor(filter)),
               0u);
 }
 
 TEST_P(RoutingImpactModel, EastCut) {
-    EXPECT_GT(expectModel(substrate_, baseline(),
-                          *oracleFor(cut({"SEACOM", "EASSy"}))),
+    const route::LinkFilter filter = filterFor(cut({"SEACOM", "EASSy"}));
+    EXPECT_GT(expectModel(substrate_, baseline(), filter, *oracleFor(filter)),
               0u);
 }
 
@@ -206,7 +227,9 @@ TEST_P(RoutingImpactModel, PowerOutageFilter) {
     power.type = outage::OutageType::PowerOutage;
     power.durationDays = 3.0;
     power.countries = {"NG", "GH"};
-    EXPECT_GT(expectModel(substrate_, baseline(), *oracleFor(power)), 0u);
+    const route::LinkFilter filter = filterFor(power);
+    EXPECT_GT(expectModel(substrate_, baseline(), filter, *oracleFor(filter)),
+              0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, RoutingImpactModel,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "exec/worker_pool.hpp"
 #include "netbase/error.hpp"
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
 
@@ -46,6 +49,21 @@ std::vector<core::ScenarioSpec> smallBatch() {
     }
     return specs;
 }
+
+/// Advances one nanosecond on every read, so a deadline counts the
+/// token's polls.
+class SteppingClock final : public obs::Clock {
+public:
+    [[nodiscard]] std::uint64_t nowNanos() const override {
+        return reads_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    [[nodiscard]] std::uint64_t reads() const {
+        return reads_.load(std::memory_order_relaxed);
+    }
+
+private:
+    mutable std::atomic<std::uint64_t> reads_{0};
+};
 
 TEST(SweepCancel, PreCancelledTokenRaisesBeforeAnyWork) {
     const topo::Topology topo =
@@ -115,6 +133,54 @@ TEST(SweepCancel, QuietTokenLeavesOutcomesIdentical) {
         EXPECT_TRUE(after.scenarios[0].outcome.value() ==
                     expected.scenarios[0].outcome.value());
     }
+}
+
+TEST(SweepCancel, DeadlineInsideTheDestinationLoopRaisesTypedError) {
+    // A one-state batch without a pool polls its token once per phase
+    // boundary and once per destination row. A quiet run counts the
+    // polls; a deadline half the rows before the end then falls inside
+    // the row loop, whatever the split of the few phase polls between
+    // before and after it.
+    const topo::Topology topo =
+        topo::TopologyGenerator{tinyConfig(5)}.generate();
+    obs::ManualClock metricsClock;
+    obs::MetricsRegistry metrics{&metricsClock};
+    core::Substrate::Options options;
+    options.metrics = &metrics;
+    const core::Substrate substrate{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+        options};
+    std::vector<core::ScenarioSpec> specs(1);
+    specs[0].name = "west-corridor";
+    specs[0].cutCables = {"WACS", "MainOne", "SAT-3", "ACE"};
+    const std::uint64_t rows = substrate.analyzer().plannedDestinations();
+
+    SteppingClock quietClock;
+    const exec::CancelToken quiet{&quietClock, exec::kNoDeadlineNanos - 1};
+    const SweepResult expected =
+        ScenarioSweepEngine{substrate, SweepOptions{.cancel = &quiet}}.run(
+            specs);
+    ASSERT_TRUE(expected.scenarios[0].outcome.hasValue());
+    const std::uint64_t total = quietClock.reads();
+    ASSERT_GE(total, rows);
+    ASSERT_LE(total - rows, rows / 2) << "phase polls should be a handful";
+    EXPECT_EQ(metrics.histogram("sweep.build_seconds").snapshot().count, 0U)
+        << "a cacheless plain sweep builds no oracle";
+    const auto scored =
+        metrics.histogram("sweep.scenario_seconds").snapshot().count;
+
+    SteppingClock clock;
+    const std::uint64_t deadlineRead = total - rows / 2;
+    const exec::CancelToken deadline{&clock, deadlineRead};
+    const ScenarioSweepEngine engine{substrate,
+                                     SweepOptions{.cancel = &deadline}};
+    EXPECT_THROW((void)engine.run(specs), net::CancelledError);
+    EXPECT_EQ(clock.reads(), deadlineRead)
+        << "the expiring poll raised; nothing polled after it";
+    EXPECT_EQ(metrics.histogram("sweep.scenario_seconds").snapshot().count,
+              scored)
+        << "no scenario scored after the deadline";
 }
 
 } // namespace

@@ -2,8 +2,8 @@
 // topology-size x cut-set grid and 1/2/8-thread pools, every sweep
 // outcome must equal — ImpactReport::operator==, i.e. bitwise on every
 // double — the per-scenario full recompute through WhatIfEngine::assess.
-// This is the contract that makes cut-set dedupe and the shared oracle
-// cache safe to use at all.
+// This is the contract that makes cut-set dedupe, the shared oracle
+// cache and destination-major scoring safe to use at all.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include "core/whatif.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/rng.hpp"
+#include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "routing/oracle_cache.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
@@ -147,6 +149,51 @@ void runGridPoint(std::uint64_t seed, bool small, std::size_t batch) {
             label + " threads=" + std::to_string(threads);
         expectMatchesReference(engine.run(specs), refs, tlabel + " cold");
         expectMatchesReference(engine.run(specs), refs, tlabel + " warm");
+    }
+
+    // Pooled without a cache, across thread counts: the states are scored
+    // destination-major, with no oracle built. The small grid also runs
+    // it under the sharded policy. A one-state batch (the west corridor)
+    // has only its destination rows to split across the lanes.
+    std::vector<core::ScenarioSpec> oneState(1);
+    oneState[0].name = "west-corridor";
+    oneState[0].cutCables = {"WACS", "MainOne", "SAT-3", "ACE"};
+    const auto oneStateRefs = referenceReports(plainSubstrate, oneState);
+    std::vector<route::StoragePolicy> policies = {route::StoragePolicy::Dense};
+    if (small) {
+        policies.push_back(route::StoragePolicy::Sharded);
+    }
+    for (const route::StoragePolicy policy : policies) {
+        for (const int threads : {1, 2, 8}) {
+            exec::WorkerPool pool{threads};
+            obs::ManualClock clock;
+            obs::MetricsRegistry metrics{&clock};
+            core::Substrate::Options options;
+            options.pool = &pool;
+            options.metrics = &metrics;
+            options.impact.routeStorage = policy;
+            const core::Substrate substrate{
+                topo, phys::CableRegistry::africanDefaults(),
+                dns::DnsConfig::defaults(),
+                content::ContentConfig::defaults(), options};
+            const ScenarioSweepEngine engine{substrate};
+            const std::string tlabel =
+                label + " cacheless threads=" + std::to_string(threads) +
+                (policy == route::StoragePolicy::Dense ? " dense"
+                                                       : " sharded");
+            expectMatchesReference(engine.run(specs), refs, tlabel);
+            const SweepResult single = engine.run(oneState);
+            expectMatchesReference(single, oneStateRefs,
+                                   tlabel + " one state");
+            EXPECT_EQ(single.stats.incrementalBuilds, 1U) << tlabel;
+            EXPECT_EQ(single.stats.dirtyDestinations,
+                      substrate.analyzer().plannedDestinations())
+                << tlabel;
+            EXPECT_EQ(
+                metrics.histogram("sweep.build_seconds").snapshot().count,
+                0U)
+                << tlabel << ": a cacheless plain sweep builds no oracle";
+        }
     }
 }
 
