@@ -113,15 +113,4 @@ std::optional<std::span<const std::byte>> RecordReader::next() {
     return payload;
 }
 
-ScanResult scanRecords(std::span<const std::byte> journal) {
-    ScanResult out;
-    RecordReader reader{journal};
-    while (const auto payload = reader.next()) {
-        out.payloads.push_back(*payload);
-        out.boundaries.push_back(reader.offset());
-    }
-    out.tail = reader.tail();
-    return out;
-}
-
 } // namespace aio::persist

@@ -176,15 +176,4 @@ private:
     bool done_ = false;
 };
 
-/// Convenience full scan: every intact payload plus the boundary offsets
-/// *after* each record and the tail classification. Throws
-/// net::CorruptionError exactly when iterating with RecordReader would.
-struct ScanResult {
-    std::vector<std::span<const std::byte>> payloads;
-    std::vector<std::size_t> boundaries; ///< offset after record i
-    TailStatus tail = TailStatus::Clean;
-};
-
-[[nodiscard]] ScanResult scanRecords(std::span<const std::byte> journal);
-
 } // namespace aio::persist

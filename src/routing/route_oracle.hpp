@@ -84,9 +84,10 @@ enum class StoragePolicy {
     /// per AS pair — 12.5 GB at 50 k ASes, so small topologies only.
     /// Retained as the byte-exact differential reference.
     Dense,
-    /// Destination-sharded compressed slabs over CSR adjacency, rows
-    /// materialized on demand and evicted LRU under a resident-byte
-    /// budget — the continent-scale policy.
+    /// Destination-sharded compressed slabs whose next hops are slots
+    /// in the topology's adjacency rows, rows materialized on demand and
+    /// evicted LRU under a resident-byte budget — the continent-scale
+    /// policy.
     Sharded,
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <string>
 
-#include "exec/worker_pool.hpp"
 #include "netbase/error.hpp"
 
 namespace aio::route {
@@ -20,14 +19,34 @@ constexpr std::uint16_t kHopWide = 0xFFFD; ///< next hop in the wide arena
 constexpr std::uint32_t kNotWide =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Position of next hop `via` in src's arena row. A route's class names
+/// the segment its next hop sits in (a customer route leaves through a
+/// customer, and so on), and each segment is ASN-ordered, so a binary
+/// search by ASN rank finds the slot.
+std::uint16_t arenaSlot(const topo::Topology& topology, topo::AsIndex src,
+                        topo::AsIndex via, RouteClass klass) {
+    const auto segment = klass == RouteClass::Customer
+                             ? topology.customersUnchecked(src)
+                         : klass == RouteClass::Peer
+                             ? topology.peersUnchecked(src)
+                             : topology.providersUnchecked(src);
+    const std::uint32_t* rank = topology.asnRanks().data();
+    const auto it = std::ranges::lower_bound(
+        segment, rank[via], {}, [rank](std::uint32_t as) { return rank[as]; });
+    AIO_EXPECTS(it != segment.end() && *it == via,
+                "next hop is not in its route class's segment");
+    return static_cast<std::uint16_t>(
+        (segment.data() - topology.rowUnchecked(src).data()) +
+        (it - segment.begin()));
+}
+
 } // namespace
 
 ShardedOracle::ShardedOracle(const topo::Topology& topology,
                              const LinkFilter& filter,
                              const ShardedOracleConfig& config)
-    : RouteOracle(topology),
-      csr_(topo::CsrAdjacency::fromTopology(topology)), filter_(filter, n_),
-      config_(config) {
+    : RouteOracle(topology), filter_(filter, n_), config_(config) {
+    AIO_EXPECTS(topology.finalized(), "topology must be finalized");
     config_.narrowSlotLimit =
         std::min<std::uint32_t>(config_.narrowSlotLimit, kHopWide);
     if (config_.shardDestinations == 0) {
@@ -45,7 +64,7 @@ ShardedOracle::ShardedOracle(const topo::Topology& topology,
     packBytesPerRow_ = (n_ + 3) / 4;
     wideRank_.assign(n_, kNotWide);
     for (topo::AsIndex src = 0; src < n_; ++src) {
-        if (csr_.degree(src) >= config_.narrowSlotLimit) {
+        if (topology.rowUnchecked(src).size() >= config_.narrowSlotLimit) {
             wideRank_[src] = static_cast<std::uint32_t>(wideSrcs_.size());
             wideSrcs_.push_back(static_cast<std::uint32_t>(src));
         }
@@ -62,7 +81,7 @@ ShardedOracle::ShardedOracle(const topo::Topology& topology,
             std::max(maxShardBytes, shards_[i].rows * rowBytes());
     }
 
-    fixedBytes_ = csr_.memoryBytes() + filter_.memoryBytes() +
+    fixedBytes_ = filter_.memoryBytes() +
                   wideRank_.size() * sizeof(std::uint32_t) +
                   wideSrcs_.size() * sizeof(std::uint32_t) +
                   rowState_.size();
@@ -151,9 +170,15 @@ void ShardedOracle::evictShardLocked(std::size_t shardIndex) const {
     shardEvictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedOracle::encodeRow(topo::AsIndex dst,
-                              const std::int32_t* rowNext,
-                              const std::uint8_t* rowKlass) const {
+void ShardedOracle::solveRowLocked(topo::AsIndex dst) const {
+    std::int32_t* rowNext = rowNext_.data();
+    std::uint8_t* rowKlass = rowKlass_.data();
+    std::fill_n(rowNext, n_, std::int32_t{-1});
+    std::fill_n(rowKlass, n_,
+                static_cast<std::uint8_t>(RouteClass::None));
+    kernel::solveDestination(*topo_, filter_, dst, rowNext, rowKlass,
+                             scratch_);
+
     Shard& shard = residentShardLocked(dst);
     const std::size_t r = dst - shard.firstDst;
     std::uint16_t* hops = shard.hops.data() + r * n_;
@@ -179,23 +204,10 @@ void ShardedOracle::encodeRow(topo::AsIndex dst,
             hops[src] = kHopWide;
             wide[wideRank_[src]] = nh;
         } else {
-            const std::int32_t slot =
-                csr_.slotOf(src, static_cast<topo::AsIndex>(nh));
-            AIO_EXPECTS(slot >= 0, "next hop is not a CSR neighbor");
-            hops[src] = static_cast<std::uint16_t>(slot);
+            hops[src] = arenaSlot(*topo_, src, static_cast<topo::AsIndex>(nh),
+                                  static_cast<RouteClass>(k));
         }
     }
-}
-
-void ShardedOracle::solveRow(topo::AsIndex dst, std::int32_t* rowNext,
-                             std::uint8_t* rowKlass,
-                             kernel::DestScratch& scratch) const {
-    std::fill_n(rowNext, n_, std::int32_t{-1});
-    std::fill_n(rowKlass, n_,
-                static_cast<std::uint8_t>(RouteClass::None));
-    kernel::solveDestination(*topo_, filter_, dst, rowNext, rowKlass,
-                             scratch);
-    encodeRow(dst, rowNext, rowKlass);
 }
 
 void ShardedOracle::ensureRowLocked(topo::AsIndex dst) const {
@@ -216,7 +228,7 @@ void ShardedOracle::ensureRowLocked(topo::AsIndex dst) const {
                                  std::memory_order_relaxed);
         enforceBudgetLocked(index);
     }
-    solveRow(dst, rowNext_.data(), rowKlass_.data(), scratch_);
+    solveRowLocked(dst);
     rowState_[dst] = kRowSolved;
     shards_[index].lastUse = ++useClock_;
 }
@@ -255,59 +267,7 @@ ShardedOracle::lookupLocked(topo::AsIndex src, topo::AsIndex dst) const {
     if (hop == kHopWide) {
         return {shard.wide[r * wideSrcs_.size() + wideRank_[src]], klass};
     }
-    return {static_cast<std::int32_t>(csr_.neighborAt(src, hop)), klass};
-}
-
-void ShardedOracle::materializeDestinations(
-    std::span<const topo::AsIndex> dsts) const {
-    std::scoped_lock lock(mutex_);
-    for (const topo::AsIndex dst : dsts) {
-        AIO_EXPECTS(dst < n_, "AS index OOB");
-        ensureRowLocked(dst);
-    }
-}
-
-void ShardedOracle::materializeAll(exec::WorkerPool* pool) const {
-    std::scoped_lock lock(mutex_);
-    if (pool == nullptr) {
-        for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-            ensureRowLocked(dst);
-        }
-        return;
-    }
-    // Shard-parallel build: the coordinator allocates one shard's arena,
-    // the pool solves its rows (disjoint arena slices, disjoint state
-    // bytes, per-lane scratch — no shared mutable state between lanes),
-    // then the budget is enforced before moving on, so a bulk build at
-    // continent scale streams through the budget instead of blowing it.
-    const auto lanes = static_cast<std::size_t>(pool->threadCount());
-    std::vector<kernel::DestScratch> scratch(lanes);
-    std::vector<std::vector<std::int32_t>> laneNext(lanes);
-    std::vector<std::vector<std::uint8_t>> laneKlass(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        scratch[lane].prepare(n_);
-        laneNext[lane].resize(n_);
-        laneKlass[lane].resize(n_);
-    }
-    for (std::size_t index = 0; index < shards_.size(); ++index) {
-        Shard& shard = shards_[index];
-        (void)residentShardLocked(shard.firstDst);
-        pool->parallelFor(shard.rows, [&](std::size_t r, std::size_t lane) {
-            const auto dst = static_cast<topo::AsIndex>(shard.firstDst + r);
-            const std::uint8_t state = rowState_[dst];
-            if (state == kRowSolved) {
-                return;
-            }
-            if (state == kRowUnknown) {
-                solvedRows_.fetch_add(1, std::memory_order_relaxed);
-            }
-            solveRow(dst, laneNext[lane].data(), laneKlass[lane].data(),
-                     scratch[lane]);
-            rowState_[dst] = kRowSolved;
-        });
-        shard.lastUse = ++useClock_;
-        enforceBudgetLocked(index);
-    }
+    return {static_cast<std::int32_t>(topo_->rowUnchecked(src)[hop]), klass};
 }
 
 std::shared_ptr<const RouteOracle>

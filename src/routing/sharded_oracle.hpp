@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "routing/path_oracle.hpp"
 #include "routing/route_kernel.hpp"
 #include "routing/route_oracle.hpp"
-#include "topo/csr_adjacency.hpp"
 
 namespace aio::exec {
 class WorkerPool;
@@ -27,7 +25,7 @@ struct ShardedOracleConfig {
     /// Destinations per shard — the eviction granule.
     std::size_t shardDestinations = 1024;
 
-    /// Sources with CSR degree >= this store their next hop as a raw
+    /// Sources with degree >= this store their next hop as a raw
     /// int32 wide column instead of a uint16 slot. Clamped to 0xFFFD
     /// (the first sentinel value); lowering it widens more sources,
     /// which costs bytes but must never change query results — the
@@ -43,14 +41,15 @@ struct ShardedOracleConfig {
 };
 
 /// Continent-scale storage policy for the Gao-Rexford route surface:
-/// CSR adjacency over the topology, routing state held as
-/// destination-sharded slabs of *compressed* rows.
+/// routing state held as destination-sharded slabs of *compressed* rows.
 ///
 /// Row encoding (one destination = one row, 2n + n/4 + 4W bytes against
 /// the dense 5n):
-///   * next hops are uint16 *slots into the source's CSR neighbor row*
-///     (a next hop is always an adjacent AS, and non-hub degrees fit 16
-///     bits) with three sentinels — none / self / wide;
+///   * next hops are uint16 *slots into the source's Topology arena row*
+///     (providers, then customers, then peers): a next hop is always an
+///     adjacent AS, the route class names the segment it sits in, and
+///     non-hub degrees fit 16 bits. Three sentinels — none / self /
+///     wide — take the top of the range;
 ///   * hub sources past `narrowSlotLimit` fall back to a per-row int32
 ///     wide column arena (W = number of hub sources);
 ///   * route classes pack 2 bits per source (Customer/Peer/Provider;
@@ -68,12 +67,12 @@ struct ShardedOracleConfig {
 /// Thread-safety: every query serializes on one internal mutex.
 class ShardedOracle final : public RouteOracle {
 public:
-    /// Builds the shard scaffolding (CSR adjacency, compiled filter,
-    /// wide-source ranks, empty shard table) without solving any row:
-    /// O(E) time, so a 50 k substrate "builds" in milliseconds and pays
-    /// per destination on first touch. Throws net::CapacityError when the
-    /// fixed overhead, the solve scratch and one shard cannot fit the
-    /// resident budget.
+    /// Builds the shard scaffolding (compiled filter, wide-source ranks,
+    /// empty shard table) without solving any row: O(n) time plus the
+    /// filter compile, so a 50 k substrate "builds" in milliseconds and
+    /// pays per destination on first touch. Throws net::CapacityError
+    /// when the fixed overhead, the solve scratch and one shard cannot
+    /// fit the resident budget.
     explicit ShardedOracle(const topo::Topology& topology,
                            const LinkFilter& filter = {},
                            const ShardedOracleConfig& config = {});
@@ -93,19 +92,6 @@ public:
     [[nodiscard]] std::size_t solvedRows() const override {
         return solvedRows_.load(std::memory_order_relaxed);
     }
-
-    // ---- bulk materialization ----
-
-    /// Materializes every destination row, shard-parallel across `pool`
-    /// when given (each lane owns whole shards, so the build is
-    /// lock-free between lanes). Honors the resident budget: when the
-    /// full matrix exceeds it, earlier shards are evicted as later ones
-    /// land, leaving the LRU tail resident.
-    void materializeAll(exec::WorkerPool* pool = nullptr) const;
-
-    /// Materializes the given destination rows, in order, under the
-    /// budget (a benchmark prices a build plus a row sample with it).
-    void materializeDestinations(std::span<const topo::AsIndex> dsts) const;
 
     // ---- introspection (tests, benches, docs) ----
 
@@ -152,27 +138,18 @@ private:
     /// row buffers), allocated on the first solve.
     [[nodiscard]] std::size_t solveScratchBytes() const;
 
-    // *Locked members require mutex_ held by the caller. solveRow also
-    // runs from bulk-materialization lanes while the coordinator holds
-    // mutex_: it touches only immutable config, the lane's own scratch,
-    // and this row's arena slice and state byte — disjoint between lanes.
+    // *Locked members require mutex_ held by the caller.
     /// Ensures dst's row is solved and resident in its shard.
     void ensureRowLocked(topo::AsIndex dst) const;
-    /// Solves dst's row with the shared kernel into the caller's scratch
-    /// and encodes it into its (already resident, in the bulk path)
-    /// shard arena.
-    void solveRow(topo::AsIndex dst, std::int32_t* rowNext,
-                  std::uint8_t* rowKlass,
-                  kernel::DestScratch& scratch) const;
-    void encodeRow(topo::AsIndex dst, const std::int32_t* rowNext,
-                   const std::uint8_t* rowKlass) const;
+    /// Solves dst's row with the shared kernel into the solve scratch
+    /// and encodes it into its shard.
+    void solveRowLocked(topo::AsIndex dst) const;
     Shard& residentShardLocked(topo::AsIndex dst) const;
     void enforceBudgetLocked(std::size_t protectedShard) const;
     void evictShardLocked(std::size_t shardIndex) const;
     [[nodiscard]] std::pair<std::int32_t, RouteClass>
     lookupLocked(topo::AsIndex src, topo::AsIndex dst) const;
 
-    topo::CsrAdjacency csr_;
     kernel::CompiledFilter filter_; ///< compiled once, shared by every solve
     ShardedOracleConfig config_; ///< normalized (budget resolved, limit clamped)
 
@@ -189,10 +166,9 @@ private:
     mutable std::atomic<std::size_t> solvedRows_{0};
     mutable std::atomic<std::uint64_t> shardEvictions_{0};
 
-    // Single-row solve scratch (guarded by mutex_; bulk materialization
-    // uses per-lane copies instead). Allocated and counted in
-    // residentBytes_ on the first single-row solve, so an oracle that
-    // is never queried (or only bulk-materialized) never pays for it.
+    // Single-row solve scratch, guarded by mutex_. Allocated and counted
+    // in residentBytes_ on the first solve, so an oracle that is never
+    // queried never pays for it.
     mutable kernel::DestScratch scratch_;
     mutable std::vector<std::int32_t> rowNext_;
     mutable std::vector<std::uint8_t> rowKlass_;

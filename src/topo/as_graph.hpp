@@ -163,8 +163,8 @@ public:
 
     // ---- routing-kernel hot path ----
     // Inline views of the arenas finalize() builds, for the inner loops
-    // of route::kernel. Unchecked: the caller guarantees finalized() and
-    // idx < asCount().
+    // of route::kernel and the sharded oracle's next-hop slots.
+    // Unchecked: the caller guarantees finalized() and idx < asCount().
 
     /// Position of every AS's ASN in ascending ASN order, indexed by
     /// AsIndex: comparing ranks orders exactly as comparing ASNs.
@@ -182,6 +182,13 @@ public:
     [[nodiscard]] std::span<const std::uint32_t>
     peersUnchecked(AsIndex idx) const noexcept {
         return relationSpan(idx, kPeers);
+    }
+    /// AS idx's whole arena row: its providers, then customers, then
+    /// peers, so each segment above is a contiguous slice of it.
+    [[nodiscard]] std::span<const std::uint32_t>
+    rowUnchecked(AsIndex idx) const noexcept {
+        const std::uint32_t* bounds = adjBounds_.data() + kRelations * idx;
+        return {adjArena_.data() + bounds[0], bounds[kRelations] - bounds[0]};
     }
 
 private:

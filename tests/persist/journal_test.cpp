@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "netbase/error.hpp"
+#include "scan_records.hpp"
 
 namespace aio::persist {
 namespace {

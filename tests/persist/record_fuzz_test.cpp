@@ -7,6 +7,7 @@
 #include "netbase/error.hpp"
 #include "netbase/rng.hpp"
 #include "persist/record.hpp"
+#include "scan_records.hpp"
 
 // Property/fuzz corpus for the record codec: whatever bytes a crashed or
 // bit-rotted disk hands back, the reader must never crash and must

@@ -11,6 +11,7 @@
 
 #include "netbase/error.hpp"
 #include "persist/bytes.hpp"
+#include "scan_records.hpp"
 
 namespace aio::persist {
 namespace {

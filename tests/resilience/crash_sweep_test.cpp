@@ -12,6 +12,7 @@
 #include "persist/record.hpp"
 #include "routing/path_oracle.hpp"
 #include "topo/generator.hpp"
+#include "../persist/scan_records.hpp"
 
 // The acceptance harness for crash-safe campaigns: a deterministic
 // crash-injection sweep over every record boundary of a faulted,

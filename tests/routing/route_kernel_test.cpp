@@ -2,9 +2,10 @@
 // what it compiles, allocates and solves: filter entries naming ASes
 // outside the topology must change no route under either storage policy
 // (and, under the sanitizers, must never index the per-AS flag array);
-// the single-row solve scratch must show in memoryBytes() exactly once
-// the oracle has solved its first row; and solvedRows() must count each
-// row once, however often eviction drops its bytes.
+// a never-queried sharded oracle holds no adjacency of its own; the
+// single-row solve scratch must show in memoryBytes() exactly once the
+// oracle has solved its first row; and solvedRows() must count each row
+// once, however often eviction drops its bytes.
 
 #include <gtest/gtest.h>
 
@@ -112,10 +113,15 @@ TEST(ShardedOracleMemory, SolveScratchIsCountedOnlyOnceARowIsSolved) {
         kernel::DestScratch::bytesFor(n) +
         n * (sizeof(std::int32_t) + sizeof(std::uint8_t));
 
-    // Until its first row the oracle holds only its fixed overhead.
+    // Until its first row the oracle holds only its fixed overhead: the
+    // compiled filter, 5 bytes per AS (wide rank, row state) and 4 per
+    // wide source. No copy of the adjacency is held.
     const ShardedOracle oracle{topo, inRangeCuts(topo)};
     ASSERT_GE(oracle.config().shardDestinations, n) << "one shard";
     const std::size_t fixed = oracle.memoryBytes();
+    const kernel::CompiledFilter compiled{inRangeCuts(topo), n};
+    EXPECT_EQ(fixed, compiled.memoryBytes() + 5 * n +
+                         4 * oracle.wideSourceCount());
     EXPECT_EQ(oracle.solvedRows(), 0U);
     EXPECT_EQ(oracle.residentShardCount(), 0U);
 
@@ -131,14 +137,6 @@ TEST(ShardedOracleMemory, SolveScratchIsCountedOnlyOnceARowIsSolved) {
     }
     EXPECT_EQ(oracle.solvedRows(), n);
     EXPECT_EQ(oracle.memoryBytes(), fixed + scratchBytes + shardBytes);
-
-    // A pool-parallel bulk build solves on per-lane scratch, which it
-    // frees on return: only the shard stays counted.
-    exec::WorkerPool pool{2};
-    const ShardedOracle bulk{topo, inRangeCuts(topo)};
-    bulk.materializeAll(&pool);
-    EXPECT_EQ(bulk.solvedRows(), n);
-    EXPECT_EQ(bulk.memoryBytes(), fixed + shardBytes);
 }
 
 TEST(ShardedOracleMemory, SolvedRowsCountEachRowOnce) {

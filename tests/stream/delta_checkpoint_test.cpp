@@ -17,6 +17,7 @@
 #include "stream/ingestor.hpp"
 #include "stream/online_radar.hpp"
 #include "stream_world.hpp"
+#include "../persist/scan_records.hpp"
 
 // Delta checkpoints. A fresh journal holds deltas from the empty
 // detector; a continuation holds an anchor key, then deltas. Resume

@@ -12,6 +12,7 @@
 #include "stream/consumer.hpp"
 #include "stream/event_log.hpp"
 #include "stream_world.hpp"
+#include "../persist/scan_records.hpp"
 
 // The acceptance harness for crash-resumable stream consumption,
 // mirroring tests/resilience/crash_sweep_test.cpp: kill the consumer at
