@@ -13,7 +13,6 @@
 #include "core/observatory.hpp"
 #include "core/setcover.hpp"
 #include "core/studies.hpp"
-#include "core/whatif.hpp"
 #include "dns/resolver.hpp"
 #include "exec/worker_pool.hpp"
 #include "measure/geoloc.hpp"

@@ -94,8 +94,8 @@ BENCHMARK(BM_PathOracleParallelBuild)
     ->Unit(benchmark::kMillisecond);
 
 // Failure-scenario sweep through the route cache: a rotating set of cut
-// scenarios (far fewer than the sweep length), as the what-if engine and
-// outage benches replay them. Steady-state iterations are all hits; the
+// scenarios (far fewer than the sweep length), as cached what-if sweeps
+// and the outage benches replay them. Steady-state iterations are all hits; the
 // hit rate and eviction count are reported as counters.
 void BM_OracleCacheFailureSweep(benchmark::State& state) {
     const auto& topo = world();

@@ -2,11 +2,11 @@
 // SAT-3 + ACE severed by one seabed event) and runs the paper's what-if:
 // how much would a geographically diverse cable have helped?
 //
-// Written against the Substrate + scenario-sweep API: both scenarios
-// (status quo and the WestShield overlay) go through one
-// ScenarioSweepEngine batch, which shares one route build per distinct
-// cut set and is byte-identical to assessing each scenario through its
-// own WhatIfEngine.
+// Written against the Substrate + scenario-sweep API, the one what-if
+// path: both scenarios (status quo and the WestShield overlay) are
+// ScenarioSpecs in one ScenarioSweepEngine batch, which scores each
+// distinct cut set once and is byte-identical to assessing each
+// scenario on its own Substrate.
 //
 //   ./build/examples/cable_cut_whatif
 

@@ -77,11 +77,9 @@ validContentConfig(const content::ContentConfig& config) {
 
 net::Expected<void>
 Substrate::validate(const topo::Topology& topology,
-                    const phys::CableRegistry& registry,
                     const dns::DnsConfig& dnsConfig,
                     const content::ContentConfig& contentConfig,
                     const Options& options) {
-    (void)registry; // no structural constraints today; reserved
     if (!topology.finalized()) {
         return net::Error::precondition(
             "substrate topology must be finalized");
@@ -121,12 +119,12 @@ Substrate::Substrate(const topo::Topology& topology,
       dnsConfig_(dnsConfig), contentConfig_(contentConfig),
       options_(options) {
     const auto valid =
-        validate(topology, *registry_, dnsConfig_, contentConfig_, options_);
+        validate(topology, dnsConfig_, contentConfig_, options_);
     if (!valid) {
         valid.error().raise();
     }
-    // Derived what-if engines and sweep overlays re-derive through this
-    // constructor, so these seed offsets are the only ones in use.
+    // Sweep overlays re-derive through this constructor, so these seed
+    // offsets (and assessStream's) are the only ones in use.
     net::Rng mapRng{options_.seed};
     linkMap_ = std::make_unique<phys::PhysicalLinkMap>(
         *topo_, *registry_, mapRng, options_.linkConfig);
@@ -143,8 +141,7 @@ net::Expected<Substrate>
 Substrate::tryCreate(const topo::Topology& topology,
                      phys::CableRegistry registry, dns::DnsConfig dnsConfig,
                      content::ContentConfig contentConfig, Options options) {
-    auto valid =
-        validate(topology, registry, dnsConfig, contentConfig, options);
+    auto valid = validate(topology, dnsConfig, contentConfig, options);
     if (!valid) {
         return valid.error();
     }

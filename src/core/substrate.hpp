@@ -10,6 +10,7 @@
 #include "dns/resolver.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/expected.hpp"
+#include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
 #include "outage/events.hpp"
 #include "outage/impact.hpp"
@@ -23,8 +24,8 @@ namespace aio::core {
 /// The one substrate bundle every scenario-evaluation entry point builds
 /// from: topology + cable registry + DNS/content/link-map configuration +
 /// derivation seed, plus the optional shared accelerators (route cache,
-/// worker pool, metrics registry). `WhatIfEngine`, the sweep engine, the
-/// planner and the service snapshot all read their layers from one.
+/// worker pool, metrics registry). The sweep engine, the planner and the
+/// service snapshot all read their layers from one.
 ///
 /// A Substrate owns the baseline derived layers (physical link map,
 /// resolver ecosystem, content catalog, impact analyzer), built exactly
@@ -76,7 +77,6 @@ public:
     /// non-negative and summing to ~1, sitesPerCountry >= 1.
     [[nodiscard]] static net::Expected<void>
     validate(const topo::Topology& topology,
-             const phys::CableRegistry& registry,
              const dns::DnsConfig& dnsConfig,
              const content::ContentConfig& contentConfig,
              const Options& options);
@@ -96,6 +96,13 @@ public:
         return options_.linkConfig;
     }
     [[nodiscard]] std::uint64_t seed() const { return options_.seed; }
+    /// The stream one assessment draws from: every event is assessed on a
+    /// fresh copy (filterFor's draws, then score's recovery draws), so a
+    /// report depends only on the seed and its own event, never on which
+    /// events were assessed before it or in which order.
+    [[nodiscard]] net::Rng assessStream() const {
+        return net::Rng{options_.seed + 7};
+    }
     /// Everything beyond the four mandatory layers — what a re-derived
     /// Substrate copies to keep this one's seed and accelerators.
     [[nodiscard]] const Options& options() const { return options_; }
@@ -157,10 +164,10 @@ private:
 /// One named what-if scenario as a value: an overlay over a Substrate
 /// (cables added, cable cuts applied, DNS/content/link-map overrides) plus
 /// the repair policy for the cut. A batch of ScenarioSpecs is the unit the
-/// ScenarioSweepEngine evaluates; a single spec can also be applied to a
-/// WhatIfEngine (`WhatIfEngine::withScenario`). Specs validate against a
-/// Substrate and return the failure as a value, so one malformed scenario
-/// in a sweep degrades that scenario, not the batch.
+/// ScenarioSweepEngine evaluates, and a single what-if is a batch of one.
+/// Specs validate against a Substrate and return the failure as a value,
+/// so one malformed scenario in a sweep degrades that scenario, not the
+/// batch.
 struct ScenarioSpec {
     std::string name;
 

@@ -79,9 +79,10 @@ struct ResolutionOutcome {
 };
 
 /// Simulates whether clients of an AS can complete DNS resolution: the
-/// resolver AS must be reachable under the supplied routing oracle. Used
-/// by the outage engine to show countries losing DNS during cable cuts
-/// even when local content stays up.
+/// resolver AS must be reachable under the supplied routing oracle. The
+/// outage ImpactAnalyzer scores DNS reachability from its own per-country
+/// tables, not through this class; resolvableShare is the independent
+/// model the routing-impact tests check the analyzer's DNS shares against.
 class ResolutionSimulator {
 public:
     ResolutionSimulator(const ResolverEcosystem& ecosystem);

@@ -34,8 +34,8 @@ struct Error {
     }
 
     /// Throws the AioError subtype matching `kind`. Bridges Expected
-    /// results back into the exception-based call sites (the deprecated
-    /// throwing entry points forward through this).
+    /// results back into the exception-based call sites
+    /// (Expected::valueOrRaise and the throwing constructors).
     [[noreturn]] void raise() const {
         switch (kind) {
         case Kind::Parse:

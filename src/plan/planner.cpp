@@ -367,9 +367,9 @@ CampaignPlanner::compile(const MeasurementQuestion& question) const {
         if (task.scenario && cache != nullptr) {
             if (auto event =
                     task.scenario->makeEvent(substrate_->registry())) {
-                // Same rng derivation the sweep's plan phase uses, so the
-                // peeked digest is exactly the one the sweep will look up.
-                net::Rng rng{substrate_->seed() + 7};
+                // The same assessment stream the sweep's plan phase uses,
+                // so the peeked digest is exactly the one it will look up.
+                net::Rng rng = substrate_->assessStream();
                 const route::LinkFilter filter =
                     substrate_->analyzer().filterFor(*event, rng);
                 task.prunedByCache = cache->peek(filter) != nullptr;

@@ -1,5 +1,7 @@
 #include "routing/oracle_cache.hpp"
 
+#include <algorithm>
+
 #include "exec/worker_pool.hpp"
 #include "netbase/error.hpp"
 
@@ -141,6 +143,16 @@ OracleCacheStats OracleCache::stats() const {
     const std::lock_guard<std::mutex> lock{mutex_};
     recomputeBytesLocked();
     return stats_;
+}
+
+std::uint64_t OracleCache::retainedBytesWith(const RouteOracle& held) const {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    recomputeBytesLocked();
+    const bool cached =
+        std::ranges::any_of(lru_, [&held](const Entry& entry) {
+            return entry.oracle.get() == &held;
+        });
+    return stats_.retainedBytes + (cached ? 0 : held.memoryBytes());
 }
 
 void OracleCache::resetStats() {

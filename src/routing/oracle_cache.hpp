@@ -94,6 +94,12 @@ public:
               std::shared_ptr<const RouteOracle> oracle);
 
     [[nodiscard]] OracleCacheStats stats() const;
+    /// The bytes of every live oracle among the entries and `held`, each
+    /// counted once: retainedBytes, plus `held`'s bytes unless an entry is
+    /// that very oracle. Counts no hit or miss and leaves the LRU order
+    /// alone, so metering memory never perturbs what the cache keeps.
+    [[nodiscard]] std::uint64_t
+    retainedBytesWith(const RouteOracle& held) const;
     void resetStats();
     void clear();
 

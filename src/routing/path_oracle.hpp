@@ -98,8 +98,8 @@ private:
 };
 
 /// True when an AS-level path is valley-free under the topology's business
-/// relationships (used by property tests and by sanity checks in the
-/// what-if engine).
+/// relationships (the routing property tests check every oracle path
+/// with it).
 [[nodiscard]] bool isValleyFree(const topo::Topology& topology,
                                 const std::vector<topo::AsIndex>& path);
 

@@ -51,8 +51,10 @@ ServiceSnapshot::build(topo::Topology topology, phys::CableRegistry registry,
 }
 
 std::uint64_t ServiceSnapshot::residentBytes() const {
-    return substrate_->analyzer().baselineOracle()->memoryBytes() +
-           cache_->stats().retainedBytes;
+    // The analyzer fetched its baseline through the cache, so the cache
+    // counts it for as long as it keeps the entry.
+    return cache_->retainedBytesWith(
+        *substrate_->analyzer().baselineOracle());
 }
 
 } // namespace aio::service

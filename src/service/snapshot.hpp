@@ -69,8 +69,10 @@ public:
     /// under memory pressure without touching frozen state.
     [[nodiscard]] route::OracleCache& cache() const { return *cache_; }
 
-    /// Approximate resident footprint: baseline oracle + live cache
-    /// entries. What the admission watermarks meter.
+    /// Approximate resident footprint: the live cache entries plus the
+    /// baseline oracle, which is counted once — inside the cache while
+    /// the cache holds it, beside it once evicted. What the admission
+    /// watermarks meter.
     [[nodiscard]] std::uint64_t residentBytes() const;
 
 private:

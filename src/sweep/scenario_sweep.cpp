@@ -22,16 +22,20 @@ namespace aio::sweep {
 
 namespace {
 
+/// Eyeball pairs sampled per unique routing state for detourShare (fixed
+/// seed, so the share is deterministic for a given substrate).
+constexpr std::size_t kDetourSamplePairs = 128;
+
 /// One validated, non-overlay scenario waiting on its degraded oracle.
 struct PlainJob {
     std::size_t slot = 0; ///< index into the result vector
     outage::OutageEvent event;
     std::size_t oracleIndex = 0; ///< into the unique-oracle list
     /// Scoring stream, already advanced through filterFor exactly as
-    /// WhatIfEngine::assess advances it — so scoring matches assess()
-    /// byte for byte even if filter derivation ever starts drawing for
-    /// cable cuts, with no cross-scenario stream sharing to make the
-    /// batch order observable.
+    /// ImpactAnalyzer::assess advances the substrate's assessStream — so
+    /// scoring matches assess() byte for byte even if filter derivation
+    /// ever starts drawing for cable cuts, with no cross-scenario stream
+    /// sharing to make the batch order observable.
     net::Rng rng{0};
 };
 
@@ -165,11 +169,11 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 continue;
             }
             job.event = std::move(event.value());
-            // Mirror WhatIfEngine::assess exactly: a fresh seed+7 stream
-            // per scenario, advanced through filterFor, then handed to
-            // scoring — each scenario's draws depend only on the
+            // Mirror ImpactAnalyzer::assess exactly: a fresh assessment
+            // stream per scenario, advanced through filterFor, then handed
+            // to scoring — each scenario's draws depend only on the
             // substrate seed and its own spec, never on batch order.
-            net::Rng rng{substrate_->seed() + 7};
+            net::Rng rng = substrate_->assessStream();
             route::LinkFilter filter = analyzer.filterFor(job.event, rng);
             job.rng = rng;
             if (dedupe) {
@@ -282,9 +286,8 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             // the substrate and the oracle's filter, never on batch
             // order, thread count or cache temperature.
             net::Rng rng{substrate_->seed() + 11};
-            job.detourShare =
-                studies.detourStudy(options_.detourSamplePairs, rng)
-                    .overallDetourShare;
+            job.detourShare = studies.detourStudy(kDetourSamplePairs, rng)
+                                  .overallDetourShare;
         }, options_.cancel);
     }
 
@@ -364,13 +367,13 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 slots[slot].emplace(event.error());
                 return;
             }
-            // Mirror WhatIfEngine::assess draw for draw — a fresh seed+7
-            // stream advanced through filterFor, then scoring against the
-            // overlay's baseline when nothing fails, else against a build
-            // for the filter.
+            // Mirror ImpactAnalyzer::assess draw for draw — a fresh
+            // assessment stream advanced through filterFor, then scoring
+            // against the overlay's baseline when nothing fails, else
+            // against a build for the filter.
             const outage::ImpactAnalyzer& overlayAnalyzer =
                 overlaySubstrate.analyzer();
-            net::Rng rng{substrate_->seed() + 7};
+            net::Rng rng = overlaySubstrate.assessStream();
             const route::LinkFilter filter =
                 overlayAnalyzer.filterFor(*event, rng);
             const std::shared_ptr<const route::RouteOracle> degraded =
@@ -385,7 +388,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 net::Rng detourRng{substrate_->seed() + 11};
                 aggSlots[slot].emplace(ScenarioAggregates{
                     meanCountryLoss(report), report.resolutionDays(),
-                    studies.detourStudy(options_.detourSamplePairs, detourRng)
+                    studies.detourStudy(kDetourSamplePairs, detourRng)
                         .overallDetourShare,
                     content::LocalityAnalyzer{overlaySubstrate.catalog()}
                         .overallLocalShare()});

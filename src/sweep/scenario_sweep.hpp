@@ -36,9 +36,6 @@ struct SweepOptions {
     /// shares) — the inputs of weighted batch aggregation. Off by
     /// default: plain impact sweeps don't pay the path-sampling cost.
     bool scenarioAggregates = false;
-    /// Eyeball pairs sampled per unique routing state for detourShare
-    /// (fixed seed, so the share is deterministic for a given substrate).
-    std::size_t detourSamplePairs = 128;
     /// Optional trace (not owned). obs::Trace is single-threaded by
     /// design, so the sweep touches it only from the coordinating
     /// thread: phase spans plus an aggregated per-scenario count node.
@@ -173,11 +170,13 @@ struct BatchSweepResult {
     WeightedAggregate aggregate;
 };
 
-/// Batched what-if evaluation over one Substrate: takes N ScenarioSpecs
-/// (cut sets x repair policies x overlays) and returns N outcomes,
-/// byte-identical to running each scenario through its own
-/// WhatIfEngine::assess — the equivalence the differential harness in
-/// tests/sweep locks — but sharing everything shareable:
+/// Batched what-if evaluation over one Substrate, and the one what-if path:
+/// takes N ScenarioSpecs (cut sets x repair policies x overlays) and
+/// returns N outcomes, byte-identical to assessing each scenario on its
+/// own — ImpactAnalyzer::assess on the scenario's Substrate (re-derived
+/// when it has an overlay) from a fresh Substrate::assessStream, the
+/// equivalence the differential harness in tests/sweep locks — but
+/// sharing everything shareable:
 ///
 ///  * scenarios with the same cut-set digest share one routing state,
 ///    and its routing impact is computed once;

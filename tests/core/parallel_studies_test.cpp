@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "core/studies.hpp"
-#include "core/whatif.hpp"
 #include "exec/worker_pool.hpp"
 #include "routing/oracle_cache.hpp"
 #include "routing/path_oracle.hpp"
 #include "topo/generator.hpp"
+#include "whatif_reference.hpp"
 
 namespace aio::core {
 namespace {
@@ -108,9 +108,8 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const Substrate cachedSubstrate =
+    const Substrate cached =
         defaultSubstrate(topo, cachedOptions(cache, pool));
-    const WhatIfEngine cached{cachedSubstrate};
     // Substrate construction fetches the no-failure baseline through the
     // cache: exactly one miss so far.
     EXPECT_EQ(cache.stats().misses, 1U);
@@ -126,7 +125,8 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     const auto runSweep = [&] {
         std::vector<outage::ImpactReport> reports;
         for (const auto& cut : sweep) {
-            reports.push_back(cached.assess(cached.makeCutEvent(cut)));
+            reports.push_back(reference::assess(
+                cached, reference::cutEvent(cached, cut)));
         }
         return reports;
     };
@@ -142,13 +142,13 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     EXPECT_EQ(cache.stats().misses, 0U);
     EXPECT_EQ(cache.stats().evictions, 0U);
 
-    // A cacheless engine is the golden reference: cold, warm and
+    // A cacheless substrate is the golden reference: cold, warm and
     // uncached assessments must agree to the bit (same seeds, same
     // routing states).
-    const Substrate plainSubstrate = defaultSubstrate(topo);
-    const WhatIfEngine plain{plainSubstrate};
+    const Substrate plain = defaultSubstrate(topo);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const auto golden = plain.assess(plain.makeCutEvent(sweep[i]));
+        const auto golden = reference::assess(
+            plain, reference::cutEvent(plain, sweep[i]));
         expectSameImpactReport(golden, cold[i]);
         expectSameImpactReport(golden, warm[i]);
     }
@@ -159,19 +159,19 @@ TEST(WhatIfScenarioCache, ScenarioEnginesShareTheCache) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const Substrate substrate =
+    const Substrate baseline =
         defaultSubstrate(topo, cachedOptions(cache, pool));
-    const WhatIfEngine baseline{substrate};
-    // A DNS-policy scenario shares topology and cable plant, so its cut
+    // A DNS-policy overlay shares topology and cable plant, so its cut
     // events produce the same link filters: its assessments ride the
-    // baseline engine's cached oracles.
-    const WhatIfEngine localized =
-        baseline.withDnsConfig(dns::DnsConfig::defaults());
+    // baseline substrate's cached oracles.
+    ScenarioSpec dnsPolicy;
+    dnsPolicy.dnsOverride = dns::DnsConfig::defaults();
+    const Substrate localized = reference::overlaid(baseline, dnsPolicy);
 
     const std::vector<std::string> cut = {"WACS", "MainOne"};
-    (void)baseline.assess(baseline.makeCutEvent(cut));
+    (void)reference::assess(baseline, reference::cutEvent(baseline, cut));
     cache.resetStats();
-    (void)localized.assess(localized.makeCutEvent(cut));
+    (void)reference::assess(localized, reference::cutEvent(localized, cut));
     EXPECT_EQ(cache.stats().hits, 1U);
     EXPECT_EQ(cache.stats().misses, 0U);
 }

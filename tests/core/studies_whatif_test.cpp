@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "core/studies.hpp"
-#include "core/whatif.hpp"
 #include "routing/path_oracle.hpp"
 #include "topo/generator.hpp"
+#include "whatif_reference.hpp"
 
 namespace aio::core {
 namespace {
@@ -85,14 +85,19 @@ TEST(ConnectivityStudies, IxpPrevalenceShapeMatchesPaper) {
     }
 }
 
-WhatIfEngine makeEngine(World& w) { return WhatIfEngine{w.substrate}; }
+// The paper's what-ifs, each a ScenarioSpec overlay on the default world
+// checked against the status quo through the per-scenario reference.
+
+const std::vector<std::string>& march2024() {
+    static const std::vector<std::string> cables = {"WACS", "MainOne",
+                                                    "SAT-3", "ACE"};
+    return cables;
+}
 
 TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
-    auto& w = world();
-    const auto baseline = makeEngine(w);
-    const std::vector<std::string> march2024 = {"WACS", "MainOne", "SAT-3",
-                                                "ACE"};
-    const auto before = baseline.assess(baseline.makeCutEvent(march2024));
+    const Substrate& baseline = world().substrate;
+    const auto before = reference::assess(
+        baseline, reference::cutEvent(baseline, march2024()));
 
     // Add a second geographically diverse west-coast system.
     phys::SubseaCable diverse;
@@ -110,8 +115,11 @@ TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
             net::CountryTable::world().byCode(code).centroid;
         diverse.landings.push_back(station);
     }
-    const auto upgraded = baseline.withCable(diverse);
-    const auto after = upgraded.assess(upgraded.makeCutEvent(march2024));
+    ScenarioSpec upgrade;
+    upgrade.cablesAdded = {diverse};
+    const Substrate upgraded = reference::overlaid(baseline, upgrade);
+    const auto after = reference::assess(
+        upgraded, reference::cutEvent(upgraded, march2024()));
 
     EXPECT_LE(after.impactedCountries().size(),
               before.impactedCountries().size());
@@ -119,11 +127,7 @@ TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
 }
 
 TEST(WhatIfEngine, DnsLocalizationMandateReducesDnsFailures) {
-    auto& w = world();
-    const auto baseline = makeEngine(w);
-    const std::vector<std::string> march2024 = {"WACS", "MainOne", "SAT-3",
-                                                "ACE"};
-    const auto event = baseline.makeCutEvent(march2024);
+    const Substrate& baseline = world().substrate;
 
     // Mandate: shift Western Africa's resolution fully local.
     auto localized = dns::DnsConfig::defaults();
@@ -132,15 +136,17 @@ TEST(WhatIfEngine, DnsLocalizationMandateReducesDnsFailures) {
                                                .cloudInAfrica = 0.0,
                                                .cloudOffshore = 0.0,
                                                .ispOffshore = 0.0};
-    const auto mandated = baseline.withDnsConfig(localized);
+    ScenarioSpec mandate;
+    mandate.dnsOverride = localized;
+    const Substrate mandated = reference::overlaid(baseline, mandate);
 
-    // Average DNS failure over the Western-Africa blast radius.
-    const auto failShare = [&](const WhatIfEngine& engine) {
+    // Worst DNS failure over the Western-Africa blast radius.
+    const auto failShare = [](const Substrate& substrate) {
+        const auto report = reference::assess(
+            substrate, reference::cutEvent(substrate, march2024()));
         double worst = 0.0;
         for (const auto code : {"GH", "NG", "CI", "SN"}) {
-            worst = std::max(worst, engine.dnsFailureShare(
-                                        code, engine.makeCutEvent(
-                                                  march2024)));
+            worst = std::max(worst, reference::dnsFailureShare(report, code));
         }
         return worst;
     };
@@ -148,35 +154,54 @@ TEST(WhatIfEngine, DnsLocalizationMandateReducesDnsFailures) {
 }
 
 TEST(WhatIfEngine, ContentLocalizationMovesTheLocalityNeedle) {
-    auto& w = world();
-    const auto baseline = makeEngine(w);
+    const Substrate& baseline = world().substrate;
     auto localized = content::ContentConfig::defaults();
     for (auto& profile : localized.africa) {
         profile.localDatacenter += 0.3;
         profile.europeDc = std::max(0.0, profile.europeDc - 0.3);
     }
-    const auto mandated = baseline.withContentConfig(localized);
-    EXPECT_GT(mandated.contentLocalShare(),
-              baseline.contentLocalShare() + 0.1);
+    ScenarioSpec mandate;
+    mandate.contentOverride = localized;
+    const Substrate mandated = reference::overlaid(baseline, mandate);
+    EXPECT_GT(reference::contentLocalShare(mandated),
+              reference::contentLocalShare(baseline) + 0.1);
 }
 
-// A derived engine re-derives a Substrate, so the changed layer is
-// validated like any other bundle before anything is scored.
+// An overlay re-derives a Substrate, so the changed layer is validated
+// like any other bundle before anything is scored: as a value by
+// ScenarioSpec::validate, and by the Substrate constructor the overlay
+// is built through.
 TEST(WhatIfEngine, DerivedEngineValidatesItsLayers) {
-    const auto baseline = makeEngine(world());
+    const Substrate& baseline = world().substrate;
     auto broken = dns::DnsConfig::defaults();
     broken.africa[1].cloudOffshore += 0.5; // shares now sum to 1.5
-    EXPECT_THROW((void)baseline.withDnsConfig(broken),
+    ScenarioSpec spec;
+    spec.name = "broken-dns";
+    spec.cutCables = march2024();
+    spec.dnsOverride = broken;
+    EXPECT_EQ(spec.validate(baseline).error().kind,
+              net::Error::Kind::Precondition);
+    EXPECT_THROW((void)reference::overlaid(baseline, spec),
                  net::PreconditionError);
 }
 
+// A cut scenario compiles against the registry: a spec with no cable and
+// no overlay has nothing to damage, and an unknown cable is a NotFound
+// error, whether the spec is validated or compiled directly.
 TEST(WhatIfEngine, CutEventValidation) {
-    auto& w = world();
-    const auto engine = makeEngine(w);
-    const std::vector<std::string> none;
-    EXPECT_THROW(engine.makeCutEvent(none), net::PreconditionError);
-    const std::vector<std::string> bogus = {"NoSuchCable"};
-    EXPECT_THROW(engine.makeCutEvent(bogus), net::NotFoundError);
+    const Substrate& substrate = world().substrate;
+    ScenarioSpec none;
+    none.name = "none";
+    EXPECT_EQ(none.validate(substrate).error().kind,
+              net::Error::Kind::Precondition);
+
+    ScenarioSpec bogus;
+    bogus.name = "bogus";
+    bogus.cutCables = {"NoSuchCable"};
+    EXPECT_EQ(bogus.validate(substrate).error().kind,
+              net::Error::Kind::NotFound);
+    EXPECT_THROW((void)reference::cutEvent(substrate, {"NoSuchCable"}),
+                 net::NotFoundError);
 }
 
 } // namespace

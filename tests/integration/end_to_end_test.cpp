@@ -10,7 +10,7 @@
 #include "core/observatory.hpp"
 #include "core/setcover.hpp"
 #include "core/studies.hpp"
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "measure/scanner.hpp"
 #include "outage/radar.hpp"
 #include "routing/path_oracle.hpp"
@@ -155,11 +155,10 @@ TEST(EndToEnd, WhatIfPipelineIsDeterministic) {
     auto& w = world();
     const core::Substrate substrateA = defaultSubstrate(w);
     const core::Substrate substrateB = defaultSubstrate(w);
-    const core::WhatIfEngine a{substrateA};
-    const core::WhatIfEngine b{substrateB};
+    namespace ref = core::reference;
     const std::vector<std::string> cut = {"SEACOM", "EASSy"};
-    const auto ra = a.assess(a.makeCutEvent(cut));
-    const auto rb = b.assess(b.makeCutEvent(cut));
+    const auto ra = ref::assess(substrateA, ref::cutEvent(substrateA, cut));
+    const auto rb = ref::assess(substrateB, ref::cutEvent(substrateB, cut));
     ASSERT_EQ(ra.countries.size(), rb.countries.size());
     for (std::size_t i = 0; i < ra.countries.size(); ++i) {
         EXPECT_EQ(ra.countries[i].country, rb.countries[i].country);
@@ -173,10 +172,10 @@ TEST(EndToEnd, WhatIfPipelineIsDeterministic) {
 TEST(EndToEnd, EastCoastCutHitsEasternAfrica) {
     auto& w = world();
     const core::Substrate substrate = defaultSubstrate(w);
-    const core::WhatIfEngine engine{substrate};
-    const std::vector<std::string> eastCut = {"SEACOM", "EASSy", "EIG",
-                                              "AAE-1", "DARE1"};
-    const auto report = engine.assess(engine.makeCutEvent(eastCut));
+    namespace ref = core::reference;
+    const auto report = ref::assess(
+        substrate, ref::cutEvent(substrate, {"SEACOM", "EASSy", "EIG",
+                                             "AAE-1", "DARE1"}));
     std::set<net::Region> hitRegions;
     for (const auto& country : report.impactedCountries()) {
         hitRegions.insert(
@@ -184,9 +183,9 @@ TEST(EndToEnd, EastCoastCutHitsEasternAfrica) {
     }
     EXPECT_TRUE(hitRegions.contains(net::Region::EasternAfrica));
     // The west-coast cut and east-coast cut hit different sets.
-    const std::vector<std::string> westCut = {"WACS", "MainOne", "SAT-3",
-                                              "ACE"};
-    const auto westReport = engine.assess(engine.makeCutEvent(westCut));
+    const auto westReport = ref::assess(
+        substrate,
+        ref::cutEvent(substrate, {"WACS", "MainOne", "SAT-3", "ACE"}));
     const auto westImpacted = westReport.impactedCountries();
     const auto eastImpacted = report.impactedCountries();
     const std::set<std::string> west(westImpacted.begin(),

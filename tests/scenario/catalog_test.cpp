@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "netbase/error.hpp"
 #include "topo/generator.hpp"
 
@@ -268,7 +268,7 @@ TEST(ScenarioCatalog, AddOnlyBuildoutValidatesAndSweeps) {
 
 TEST(ScenarioCatalog, CompiledPhasesMatchPerScenarioEngines) {
     // Differential: every compiled non-overlay spec must score exactly
-    // as a per-scenario WhatIfEngine::assess over the same substrate.
+    // as the per-scenario reference assesses it on the same substrate.
     const topo::Topology topo =
         topo::TopologyGenerator{smallConfig(11)}.generate();
     const core::Substrate substrate = smallSubstrate(topo);
@@ -284,13 +284,12 @@ TEST(ScenarioCatalog, CompiledPhasesMatchPerScenarioEngines) {
     const auto result = engine.run(batch.value().specs());
     ASSERT_EQ(result.stats.errors, 0U);
 
-    const core::WhatIfEngine reference{substrate};
     for (std::size_t i = 0; i < batch.value().entries.size(); ++i) {
         const core::ScenarioSpec& spec = batch.value().entries[i].spec;
         const auto event = spec.makeEvent(substrate.registry());
         ASSERT_TRUE(event.hasValue()) << spec.name;
         EXPECT_TRUE(result.scenarios[i].outcome.value() ==
-                    reference.assess(event.value()))
+                    core::reference::assess(substrate, event.value()))
             << spec.name;
     }
 }

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "core/substrate.hpp"
 #include "netbase/rng.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
@@ -167,31 +167,6 @@ TEST(CutCanonicalization, RandomPermutationsAreByteIdenticalProperty) {
         EXPECT_TRUE(run.scenarios[0].outcome.value() == refReport)
             << spec.name;
     }
-}
-
-TEST(CutCanonicalization, WhatIfMakeCutEventCanonicalizes) {
-    const topo::Topology topo =
-        topo::TopologyGenerator{smallConfig(3)}.generate();
-    const core::Substrate substrate = smallSubstrate(topo);
-    const core::WhatIfEngine engine{substrate};
-
-    const std::vector<std::string> sorted = {"WACS", "SAT-3", "ACE"};
-    const std::vector<std::string> messy = {"ACE", "SAT-3", "WACS",
-                                            "ACE", "SAT-3"};
-    const auto a = engine.tryMakeCutEvent(sorted, 14.0);
-    const auto b = engine.tryMakeCutEvent(messy, 14.0);
-    ASSERT_TRUE(a.hasValue());
-    ASSERT_TRUE(b.hasValue());
-    EXPECT_TRUE(a.value() == b.value());
-    EXPECT_TRUE(std::ranges::is_sorted(a.value().cutCables));
-    EXPECT_EQ(a.value().cutCables.size(), 3U);
-    EXPECT_TRUE(engine.assess(a.value()) == engine.assess(b.value()));
-
-    // The legacy preconditions survive the canonicalization rewrite.
-    EXPECT_FALSE(engine.tryMakeCutEvent(std::vector<std::string>{}, 14.0)
-                     .hasValue());
-    EXPECT_FALSE(
-        engine.tryMakeCutEvent(sorted, 0.0).hasValue());
 }
 
 } // namespace

@@ -18,7 +18,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "dns/resolver.hpp"
 #include "routing/route_oracle.hpp"
 #include "sweep/scenario_sweep.hpp"
@@ -186,13 +186,13 @@ protected:
     /// The filter `event` derives, drawing from the stream assess() would.
     [[nodiscard]] route::LinkFilter
     filterFor(const outage::OutageEvent& event) const {
-        net::Rng rng{substrate_.seed() + 7};
+        net::Rng rng = substrate_.assessStream();
         return substrate_.analyzer().filterFor(event, rng);
     }
 
     [[nodiscard]] outage::OutageEvent
-    cut(const std::vector<std::string>& cables) const {
-        return core::WhatIfEngine{substrate_}.makeCutEvent(cables);
+    cut(std::vector<std::string> cables) const {
+        return core::reference::cutEvent(substrate_, std::move(cables));
     }
 
     [[nodiscard]] const route::RouteOracle& baseline() const {

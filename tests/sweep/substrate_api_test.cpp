@@ -1,7 +1,7 @@
 // The Substrate and ScenarioSpec entry points: a bad bundle or a bad
 // spec fails as a value with the right Error kind (and throws from the
-// throwing spellings), cut events resolve cable names as values, and a
-// Substrate's derived layers stay valid through moves.
+// throwing spellings), specs compile cable names into events as values,
+// and a Substrate's derived layers stay valid through moves.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "netbase/error.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
@@ -93,29 +93,37 @@ TEST(ApiMigration, TryCreateSubstrateSurvivesMoves) {
     // linkMap().registry() — the exact dereference a dangling pointer
     // would turn into a use-after-free.
     const auto reference = makeSubstrate();
-    const core::WhatIfEngine fromMoved{parked};
-    const core::WhatIfEngine fromReference{reference};
-    const std::vector<std::string> cables = {"WACS", "MainOne", "ACE"};
-    const auto event = fromMoved.makeCutEvent(cables);
-    EXPECT_TRUE(fromMoved.assess(event) == fromReference.assess(event));
+    const auto event =
+        core::reference::cutEvent(parked, {"WACS", "MainOne", "ACE"});
+    EXPECT_TRUE(core::reference::assess(parked, event) ==
+                core::reference::assess(reference, event));
 }
 
-TEST(ApiMigration, TryMakeCutEventReturnsErrorsAsValues) {
+TEST(ApiMigration, MakeEventReturnsErrorsAsValues) {
     const auto substrate = makeSubstrate();
-    const core::WhatIfEngine engine{substrate};
 
-    const std::vector<std::string> unknown = {"WACS", "Atlantis-9"};
-    const auto bad = engine.tryMakeCutEvent(unknown);
+    core::ScenarioSpec unknown;
+    unknown.name = "unknown";
+    unknown.cutCables = {"WACS", "Atlantis-9"};
+    const auto bad = unknown.makeEvent(substrate.registry());
     ASSERT_FALSE(bad.hasValue());
     EXPECT_EQ(bad.error().kind, net::Error::Kind::NotFound);
-    EXPECT_THROW((void)engine.makeCutEvent(unknown), net::NotFoundError);
+    EXPECT_THROW((void)unknown.makeEvent(substrate.registry()).valueOrRaise(),
+                 net::NotFoundError);
 
-    const auto empty = engine.tryMakeCutEvent({});
-    ASSERT_FALSE(empty.hasValue());
-    EXPECT_EQ(empty.error().kind, net::Error::Kind::Precondition);
+    // A cut with no cable and no overlay has no damage surface; validate
+    // refuses it before anything compiles it.
+    core::ScenarioSpec empty;
+    empty.name = "empty";
+    const auto refused = empty.validate(substrate);
+    ASSERT_FALSE(refused.hasValue());
+    EXPECT_EQ(refused.error().kind, net::Error::Kind::Precondition);
 
-    const std::vector<std::string> good = {"WACS"};
-    const auto event = engine.tryMakeCutEvent(good, 10.0);
+    core::ScenarioSpec good;
+    good.name = "good";
+    good.cutCables = {"WACS"};
+    good.repairDays = 10.0;
+    const auto event = good.makeEvent(substrate.registry());
     ASSERT_TRUE(event.hasValue());
     EXPECT_EQ(event.value().cutCables.size(), 1U);
     EXPECT_DOUBLE_EQ(event.value().durationDays, 10.0);
@@ -136,6 +144,8 @@ TEST(ApiMigration, ScenarioSpecValidateCatchesBadSpecs) {
 
     core::ScenarioSpec badRepair = good;
     badRepair.repairDays = -3.0;
+    EXPECT_FALSE(badRepair.validate(substrate).hasValue());
+    badRepair.repairDays = 0.0;
     EXPECT_FALSE(badRepair.validate(substrate).hasValue());
 
     core::ScenarioSpec unknownCut = good;

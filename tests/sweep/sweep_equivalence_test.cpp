@@ -1,9 +1,10 @@
 // Differential harness for the batched scenario sweep: across a seed x
 // topology-size x cut-set grid and 1/2/8-thread pools, every sweep
 // outcome must equal — ImpactReport::operator==, i.e. bitwise on every
-// double — the per-scenario full recompute through WhatIfEngine::assess.
-// This is the contract that makes cut-set dedupe, the shared oracle
-// cache and destination-major scoring safe to use at all.
+// double — the per-scenario full recompute of the test reference
+// (ImpactAnalyzer::assess on the scenario's own Substrate). This is the
+// contract that makes cut-set dedupe, the shared oracle cache,
+// destination-major scoring and the overlay lane safe to use at all.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/rng.hpp"
 #include "obs/clock.hpp"
@@ -74,24 +75,17 @@ std::vector<core::ScenarioSpec> cutGrid(std::uint64_t seed,
     return specs;
 }
 
-/// The per-scenario full-recompute reference: one WhatIfEngine (borrowing
-/// the substrate's baseline), spec overlays applied individually, no
-/// cache, no batching.
+/// The per-scenario full-recompute reference: each spec assessed on its
+/// own (on the substrate's baseline, or on an overlay substrate derived
+/// for it alone), no cache, no batching.
 std::vector<outage::ImpactReport>
 referenceReports(const core::Substrate& substrate,
                  std::span<const core::ScenarioSpec> specs) {
-    const core::WhatIfEngine base{substrate};
     std::vector<outage::ImpactReport> reports;
     reports.reserve(specs.size());
     for (const core::ScenarioSpec& spec : specs) {
-        if (spec.hasOverlay()) {
-            const core::WhatIfEngine engine = base.withScenario(spec);
-            reports.push_back(engine.assess(
-                engine.makeCutEvent(spec.cutCables, spec.repairDays)));
-        } else {
-            reports.push_back(base.assess(
-                base.makeCutEvent(spec.cutCables, spec.repairDays)));
-        }
+        reports.push_back(
+            core::reference::report(substrate, spec).valueOrRaise());
     }
     return reports;
 }
@@ -313,7 +307,26 @@ TEST(SweepEquivalence, OverlayScenariosMatchPerScenarioEngines) {
     }
     specs[1].dnsOverride = localized;
 
+    // The other two override kinds, each under a corridor cut: hosting
+    // moved home from Europe, and a link map with more terrestrial and
+    // backup links.
+    std::vector<core::ScenarioSpec> overrides(2);
+    overrides[0].name = "content-at-home";
+    overrides[0].cutCables = {"WACS", "MainOne", "SAT-3", "ACE"};
+    auto hosting = content::ContentConfig::defaults();
+    for (auto& profile : hosting.africa) {
+        profile.localDatacenter += 0.3;
+        profile.europeDc -= 0.3;
+    }
+    overrides[0].contentOverride = hosting;
+    overrides[1].name = "diverse-links";
+    overrides[1].cutCables = {"SEACOM", "EASSy"};
+    overrides[1].linkMapOverride = phys::LinkMapConfig{
+        .terrestrialProb = 0.6, .backupProb = 0.9,
+        .backupSameCorridorProb = 0.2};
+
     const auto refs = referenceReports(substrate, specs);
+    const auto overrideRefs = referenceReports(substrate, overrides);
     for (const int threads : {1, 4}) {
         exec::WorkerPool pool{threads};
         core::Substrate::Options options;
@@ -323,18 +336,22 @@ TEST(SweepEquivalence, OverlayScenariosMatchPerScenarioEngines) {
             dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
             options};
         const ScenarioSweepEngine engine{pooled};
+        const std::string label = "overlay threads=" + std::to_string(threads);
         const SweepResult result = engine.run(specs);
-        expectMatchesReference(result, refs,
-                               "overlay threads=" + std::to_string(threads));
+        expectMatchesReference(result, refs, label);
         EXPECT_EQ(result.stats.overlayScenarios, 2U);
+        const SweepResult overridden = engine.run(overrides);
+        expectMatchesReference(overridden, overrideRefs,
+                               label + " content/link-map");
+        EXPECT_EQ(overridden.stats.overlayScenarios, 2U);
     }
 }
 
 TEST(SweepEquivalence, ShardedStoragePolicyIsByteIdentical) {
-    // The whole sweep stack — ImpactAnalyzer, WhatIfEngine,
-    // ScenarioSweepEngine, OracleCache — runs unmodified behind the
-    // Substrate's storage-policy switch, and every report must stay
-    // bitwise equal to the dense-policy reference.
+    // The whole sweep stack — ImpactAnalyzer, ScenarioSweepEngine,
+    // OracleCache — runs unmodified behind the Substrate's storage-policy
+    // switch, and every report must stay bitwise equal to the
+    // dense-policy reference.
     const topo::Topology topo =
         topo::TopologyGenerator{sizedConfig(7, true)}.generate();
     const auto specs = cutGrid(7, 16);

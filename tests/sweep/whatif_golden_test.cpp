@@ -1,15 +1,15 @@
 // Golden outputs for the what-if derivation chain and the sweep's plain
 // and overlay lanes. The other what-if suites compare one path with
-// another (an engine against a sweep, a cached engine against an
-// uncached one, one recompute mode against the other), so a rewrite that
-// moved both sides in lockstep would pass them all. These values were
-// recorded from the reference implementation and pin the absolute
-// output: impact-report digests, content locality and Ghana's DNS
-// failure share from a base engine and from every derived engine; the
-// reports assess() gives country-scoped and offshore events; and the
-// per-scenario reports, aggregates and batch statistics of a
-// plain-scenario sweep, a catalog sweep (each dense and sharded) and an
-// overlay-only sweep.
+// another (the sweep against the per-scenario reference, a cached
+// assessment against an uncached one, one recompute mode against the
+// other), so a rewrite that moved both sides in lockstep would pass them
+// all. These values were recorded from the reference implementation and
+// pin the absolute output: impact-report digests, content locality and
+// Ghana's DNS failure share on a base substrate and on every overlay
+// substrate the reference derives; the reports assess() gives
+// country-scoped and offshore events; and the per-scenario reports,
+// aggregates and batch statistics of a plain-scenario sweep, a catalog
+// sweep (each dense and sharded) and an overlay-only sweep.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/whatif.hpp"
+#include "../core/whatif_reference.hpp"
 #include "exec/worker_pool.hpp"
 #include "persist/bytes.hpp"
 #include "plan/textio.hpp"
@@ -139,21 +139,22 @@ struct EngineOutputs {
     double ghanaDnsFailure = 0.0; ///< under the west corridor cut
 };
 
-EngineOutputs outputsOf(const core::WhatIfEngine& engine) {
-    const std::vector<std::string> west = {"WACS", "MainOne", "SAT-3",
-                                           "ACE"};
-    const std::vector<std::string> east = {"SEACOM", "EASSy"};
-    const outage::OutageEvent westCut = engine.makeCutEvent(west);
+EngineOutputs outputsOf(const core::Substrate& substrate) {
+    namespace ref = core::reference;
+    const outage::ImpactReport west = ref::assess(
+        substrate,
+        ref::cutEvent(substrate, {"WACS", "MainOne", "SAT-3", "ACE"}));
     persist::ByteWriter out;
-    fold(out, engine.assess(westCut));
-    fold(out, engine.assess(engine.makeCutEvent(east)));
-    return {persist::fnv1a64(out.bytes()), engine.contentLocalShare(),
-            engine.dnsFailureShare("GH", westCut)};
+    fold(out, west);
+    fold(out, ref::assess(substrate,
+                          ref::cutEvent(substrate, {"SEACOM", "EASSy"})));
+    return {persist::fnv1a64(out.bytes()), ref::contentLocalShare(substrate),
+            ref::dnsFailureShare(west, "GH")};
 }
 
-void expectOutputs(const core::WhatIfEngine& engine,
+void expectOutputs(const core::Substrate& substrate,
                    const EngineOutputs& golden) {
-    const EngineOutputs got = outputsOf(engine);
+    const EngineOutputs got = outputsOf(substrate);
     EXPECT_EQ(got.reportDigest, golden.reportDigest)
         << std::hex << "0x" << got.reportDigest;
     EXPECT_EQ(got.contentLocalShare, golden.contentLocalShare)
@@ -163,42 +164,51 @@ void expectOutputs(const core::WhatIfEngine& engine,
 }
 
 TEST(WhatIfGolden, BaseEngineOverASubstrate) {
-    const core::Substrate substrate = makeSubstrate();
-    expectOutputs(core::WhatIfEngine{substrate},
-                  {0xa519d5b46157bd05ULL, 0x1.2565c84174beap-2,
-                   0x1.5555555555556p-1});
+    expectOutputs(makeSubstrate(), {0xa519d5b46157bd05ULL,
+                                    0x1.2565c84174beap-2,
+                                    0x1.5555555555556p-1});
 }
 
+/// Each overlay substrate the reference derives: one override per spec,
+/// and a cable plus a DNS override carried by one spec.
 TEST(WhatIfGolden, DerivedEngines) {
     const core::Substrate substrate = makeSubstrate();
-    const core::WhatIfEngine base{substrate};
+    core::ScenarioSpec cable;
+    cable.cablesAdded = {goldenCable()};
+    core::ScenarioSpec dns;
+    dns.dnsOverride = localizedDns();
+    core::ScenarioSpec content;
+    content.contentOverride = localizedContent();
+    core::ScenarioSpec linkMap;
+    linkMap.linkMapOverride = diverseLinkMap();
+    core::ScenarioSpec cableAndDns = cable;
+    cableAndDns.dnsOverride = localizedDns();
     {
-        SCOPED_TRACE("withCable");
-        expectOutputs(base.withCable(goldenCable()),
+        SCOPED_TRACE("cablesAdded");
+        expectOutputs(core::reference::overlaid(substrate, cable),
                       {0x43bcb4ab58f43f4aULL, 0x1.2565c84174beap-2,
                        0x1.5555555555556p-1});
     }
     {
-        SCOPED_TRACE("withDnsConfig");
-        expectOutputs(base.withDnsConfig(localizedDns()),
+        SCOPED_TRACE("dnsOverride");
+        expectOutputs(core::reference::overlaid(substrate, dns),
                       {0xcec247db9ce434afULL, 0x1.2565c84174beap-2, 0x0p+0});
     }
     {
-        SCOPED_TRACE("withContentConfig");
-        expectOutputs(base.withContentConfig(localizedContent()),
+        SCOPED_TRACE("contentOverride");
+        expectOutputs(core::reference::overlaid(substrate, content),
                       {0xfd3bcab6b7e0c3f7ULL, 0x1.2e97c7e55e438p-1,
                        0x1.5555555555556p-1});
     }
     {
-        SCOPED_TRACE("withLinkMapConfig");
-        expectOutputs(base.withLinkMapConfig(diverseLinkMap()),
+        SCOPED_TRACE("linkMapOverride");
+        expectOutputs(core::reference::overlaid(substrate, linkMap),
                       {0xadffe0855ead7109ULL, 0x1.2565c84174beap-2, 0x0p+0});
     }
     {
-        SCOPED_TRACE("withCable then withDnsConfig");
-        expectOutputs(
-            base.withCable(goldenCable()).withDnsConfig(localizedDns()),
-            {0xa98f4e461e5fc0f9ULL, 0x1.2565c84174beap-2, 0x0p+0});
+        SCOPED_TRACE("cablesAdded and dnsOverride in one spec");
+        expectOutputs(core::reference::overlaid(substrate, cableAndDns),
+                      {0xa98f4e461e5fc0f9ULL, 0x1.2565c84174beap-2, 0x0p+0});
     }
 }
 
@@ -346,10 +356,9 @@ struct CountryEventPin {
 /// shutdown's report lists five countries and the incident's ten.
 void expectCountryEvents(const core::Substrate& substrate,
                          const CountryEventPin& golden) {
-    const core::WhatIfEngine engine{substrate};
-    const auto digestOf = [&engine](const outage::OutageEvent& event) {
+    const auto digestOf = [&substrate](const outage::OutageEvent& event) {
         persist::ByteWriter out;
-        fold(out, engine.assess(event));
+        fold(out, core::reference::assess(substrate, event));
         return persist::fnv1a64(out.bytes());
     };
     const std::uint64_t shutdown = digestOf(
