@@ -227,19 +227,4 @@ double LocalityAnalyzer::overallLocalShare() const {
     return total == 0.0 ? 0.0 : local / total;
 }
 
-double
-LocalityAnalyzer::reachableShare(topo::AsIndex client,
-                                 std::string_view countryCode,
-                                 const route::RouteOracle& oracle) const {
-    double ok = 0.0;
-    double total = 0.0;
-    for (const Website& site : catalog_->sitesFor(countryCode)) {
-        total += site.popularity;
-        if (oracle.reachable(client, site.hostAs)) {
-            ok += site.popularity;
-        }
-    }
-    return total == 0.0 ? 0.0 : ok / total;
-}
-
 } // namespace aio::content

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "netbase/rng.hpp"
-#include "routing/route_oracle.hpp"
+#include "topo/as_graph.hpp"
 
 namespace aio::content {
 
@@ -71,8 +71,7 @@ private:
 };
 
 /// Figure 2b: popularity-weighted share of content served from within
-/// Africa, per region and overall; plus availability under degraded
-/// routing (used by the outage engine: pages need DNS *and* content).
+/// Africa, per region and overall.
 class LocalityAnalyzer {
 public:
     explicit LocalityAnalyzer(const ContentCatalog& catalog);
@@ -82,12 +81,6 @@ public:
 
     /// Continent-wide popularity-weighted African-hosted share.
     [[nodiscard]] double overallLocalShare() const;
-
-    /// Share of a country's top sites whose host AS is reachable from a
-    /// client AS under the given routing state.
-    [[nodiscard]] double reachableShare(topo::AsIndex client,
-                                        std::string_view countryCode,
-                                        const route::RouteOracle& oracle) const;
 
 private:
     const ContentCatalog* catalog_;

@@ -110,11 +110,6 @@ PricingModel randomAfricanPricing(net::Rng& rng) {
     return pricing;
 }
 
-bool isEyeball(const topo::AsInfo& info) {
-    return info.type == topo::AsType::MobileOperator ||
-           info.type == topo::AsType::AccessIsp;
-}
-
 } // namespace
 
 ProbeFleet ProbeFleet::observatory(const topo::Topology& topology,
@@ -127,7 +122,7 @@ ProbeFleet ProbeFleet::observatory(const topo::Topology& topology,
         // networks present at IXPs (purpose-driven placement, §7).
         std::vector<topo::AsIndex> candidates;
         for (const topo::AsIndex as : topology.asesInCountry(country->iso2)) {
-            if (isEyeball(topology.as(as))) {
+            if (topo::isEyeball(topology.as(as).type)) {
                 candidates.push_back(as);
             }
         }

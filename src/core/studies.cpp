@@ -25,9 +25,7 @@ std::vector<topo::AsIndex>
 ConnectivityStudies::eyeballsInRegion(net::Region region) const {
     std::vector<topo::AsIndex> out;
     for (const topo::AsIndex as : topo_->asesInRegion(region)) {
-        const auto type = topo_->as(as).type;
-        if (type == topo::AsType::MobileOperator ||
-            type == topo::AsType::AccessIsp) {
+        if (topo::isEyeball(topo_->as(as).type)) {
             out.push_back(as);
         }
     }

@@ -124,7 +124,8 @@ Substrate::Substrate(const topo::Topology& topology,
         valid.error().raise();
     }
     // Sweep overlays re-derive through this constructor, so these seed
-    // offsets (and assessStream's) are the only ones in use.
+    // offsets (and assessStream's and detourStream's) are the only ones
+    // in use.
     net::Rng mapRng{options_.seed};
     linkMap_ = std::make_unique<phys::PhysicalLinkMap>(
         *topo_, *registry_, mapRng, options_.linkConfig);

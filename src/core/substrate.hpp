@@ -103,6 +103,12 @@ public:
     [[nodiscard]] net::Rng assessStream() const {
         return net::Rng{options_.seed + 7};
     }
+    /// The stream one routing state's detour sample draws from: the
+    /// sweep's plain and overlay lanes each take a fresh copy per state,
+    /// so a share depends only on the seed and the state's routes.
+    [[nodiscard]] net::Rng detourStream() const {
+        return net::Rng{options_.seed + 11};
+    }
     /// Everything beyond the four mandatory layers — what a re-derived
     /// Substrate copies to keep this one's seed and accelerators.
     [[nodiscard]] const Options& options() const { return options_; }

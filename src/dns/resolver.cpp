@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "netbase/error.hpp"
-#include "netbase/geo.hpp"
 
 namespace aio::dns {
 
@@ -48,11 +47,6 @@ DnsConfig DnsConfig::defaults() {
 
 namespace {
 
-bool isEyeball(const topo::AsInfo& info) {
-    return info.type == topo::AsType::MobileOperator ||
-           info.type == topo::AsType::AccessIsp;
-}
-
 const ResolverProfile& profileFor(const DnsConfig& cfg, net::Region region) {
     const auto regions = net::africanRegions();
     for (std::size_t i = 0; i < regions.size(); ++i) {
@@ -85,7 +79,8 @@ ResolverEcosystem::ResolverEcosystem(const topo::Topology& topology,
                    (info.type == topo::AsType::AccessIsp ||
                     info.type == topo::AsType::Tier2)) {
             euIsps.push_back(i);
-        } else if (net::isAfrican(info.region) && isEyeball(info)) {
+        } else if (net::isAfrican(info.region) &&
+                   topo::isEyeball(info.type)) {
             africanOperators.push_back(i);
         }
     }
@@ -95,7 +90,7 @@ ResolverEcosystem::ResolverEcosystem(const topo::Topology& topology,
     net::Rng rng{seed};
     for (topo::AsIndex i = 0; i < topology.asCount(); ++i) {
         const auto& info = topology.as(i);
-        if (!net::isAfrican(info.region) || !isEyeball(info)) {
+        if (!net::isAfrican(info.region) || !topo::isEyeball(info.type)) {
             continue;
         }
         const ResolverProfile& profile = profileFor(config, info.region);
@@ -171,43 +166,6 @@ ResolverEcosystem::classShares(net::Region region) const {
         }
     }
     return shares;
-}
-
-ResolutionSimulator::ResolutionSimulator(const ResolverEcosystem& ecosystem)
-    : ecosystem_(&ecosystem) {}
-
-ResolutionOutcome
-ResolutionSimulator::resolve(topo::AsIndex client,
-                             const route::RouteOracle& oracle) const {
-    const auto assignment = ecosystem_->resolverOf(client);
-    ResolutionOutcome outcome;
-    if (!assignment) {
-        return outcome;
-    }
-    const auto& topo = ecosystem_->topology();
-    if (!oracle.reachable(client, assignment->resolverAs)) {
-        return outcome;
-    }
-    outcome.resolved = true;
-    outcome.rttMs = net::rttMs(topo.as(client).location,
-                               topo.as(assignment->resolverAs).location);
-    return outcome;
-}
-
-double
-ResolutionSimulator::resolvableShare(std::string_view countryCode,
-                                     const route::RouteOracle& oracle) const {
-    const auto& topo = ecosystem_->topology();
-    int total = 0;
-    int ok = 0;
-    for (const topo::AsIndex as : topo.asesInCountry(countryCode)) {
-        if (!ecosystem_->resolverOf(as)) {
-            continue;
-        }
-        ++total;
-        ok += resolve(as, oracle).resolved ? 1 : 0;
-    }
-    return total == 0 ? 0.0 : static_cast<double>(ok) / total;
 }
 
 } // namespace aio::dns

@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "netbase/rng.hpp"
-#include "routing/route_oracle.hpp"
+#include "topo/as_graph.hpp"
 
 namespace aio::dns {
 
@@ -69,34 +69,6 @@ public:
 private:
     const topo::Topology* topo_;
     std::vector<std::optional<ResolverAssignment>> assignments_;
-};
-
-/// DNS resolution outcome under a (possibly failure-degraded) routing
-/// state.
-struct ResolutionOutcome {
-    bool resolved = false;
-    double rttMs = 0.0; ///< client -> resolver propagation RTT
-};
-
-/// Simulates whether clients of an AS can complete DNS resolution: the
-/// resolver AS must be reachable under the supplied routing oracle. The
-/// outage ImpactAnalyzer scores DNS reachability from its own per-country
-/// tables, not through this class; resolvableShare is the independent
-/// model the routing-impact tests check the analyzer's DNS shares against.
-class ResolutionSimulator {
-public:
-    ResolutionSimulator(const ResolverEcosystem& ecosystem);
-
-    [[nodiscard]] ResolutionOutcome
-    resolve(topo::AsIndex client, const route::RouteOracle& oracle) const;
-
-    /// Fraction of eyeball ASes in a country that can resolve.
-    [[nodiscard]] double
-    resolvableShare(std::string_view countryCode,
-                    const route::RouteOracle& oracle) const;
-
-private:
-    const ResolverEcosystem* ecosystem_;
 };
 
 } // namespace aio::dns

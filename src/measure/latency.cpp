@@ -15,9 +15,7 @@ std::vector<topo::AsIndex>
 LatencyStudy::eyeballs(std::string_view country) const {
     std::vector<topo::AsIndex> out;
     for (const topo::AsIndex as : topo_->asesInCountry(country)) {
-        const auto type = topo_->as(as).type;
-        if (type == topo::AsType::MobileOperator ||
-            type == topo::AsType::AccessIsp) {
+        if (topo::isEyeball(topo_->as(as).type)) {
             out.push_back(as);
         }
     }

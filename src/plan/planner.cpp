@@ -16,16 +16,11 @@ namespace aio::plan {
 
 namespace {
 
-[[nodiscard]] bool isEyeball(topo::AsType type) {
-    return type == topo::AsType::AccessIsp ||
-           type == topo::AsType::MobileOperator;
-}
-
 [[nodiscard]] std::vector<topo::AsIndex>
 eyeballsInCountry(const topo::Topology& topology, std::string_view iso2) {
     std::vector<topo::AsIndex> out;
     for (const topo::AsIndex as : topology.asesInCountry(iso2)) {
-        if (isEyeball(topology.as(as).type)) {
+        if (topo::isEyeball(topology.as(as).type)) {
             out.push_back(as);
         }
     }
@@ -565,7 +560,7 @@ CampaignPlanner::execute(const CampaignPlan& plan,
         const route::DetourAnalyzer detour{topology};
         std::vector<topo::AsIndex> pool;
         for (const topo::AsIndex as : topology.africanAses()) {
-            if (isEyeball(topology.as(as).type)) {
+            if (topo::isEyeball(topology.as(as).type)) {
                 pool.push_back(as);
             }
         }

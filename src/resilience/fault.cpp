@@ -420,36 +420,4 @@ std::size_t StreamFaultInjector::reconnectCount() const {
     return count;
 }
 
-void ServiceFaultConfig::validate() const {
-    requireProbability(slowHandlerProb, "slowHandlerProb");
-    requireProbability(topologySwapProb, "topologySwapProb");
-    requireProbability(invalidSwapProb, "invalidSwapProb");
-    requireProbability(tenantFloodProb, "tenantFloodProb");
-    requireProbability(allocPressureProb, "allocPressureProb");
-    AIO_EXPECTS(std::isfinite(slowFactor) && slowFactor >= 1.0,
-                "slowFactor must be >= 1 and finite");
-    AIO_EXPECTS(floodBurst >= 1, "floodBurst must be at least 1");
-}
-
-ServiceFaultInjector::ServiceFaultInjector(ServiceFaultConfig config)
-    : config_(config) {
-    config_.validate();
-}
-
-ServiceFaultInjector::StepFaults
-ServiceFaultInjector::faultsFor(net::Rng& rng) const {
-    StepFaults faults;
-    // Every class consumes exactly one uniform draw, in a fixed order
-    // (bernoulli() short-circuits at p=0/1 without drawing), so tuning
-    // one probability leaves every other class's decision stream
-    // untouched.
-    faults.slowHandler = rng.uniform01() < config_.slowHandlerProb;
-    faults.topologySwap = rng.uniform01() < config_.topologySwapProb;
-    const bool invalid = rng.uniform01() < config_.invalidSwapProb;
-    faults.invalidSwap = faults.topologySwap && invalid;
-    faults.tenantFlood = rng.uniform01() < config_.tenantFloodProb;
-    faults.allocPressure = rng.uniform01() < config_.allocPressureProb;
-    return faults;
-}
-
 } // namespace aio::resilience

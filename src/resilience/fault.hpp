@@ -249,64 +249,4 @@ private:
     std::map<std::uint64_t, std::vector<double>> reconnects_;
 };
 
-/// Per-step rates for the service fault schedule: ways a *resident
-/// observatory service* misbehaves while probes and delivery are
-/// healthy, so the process itself is the fault domain. These drive the
-/// service soak/storm harnesses, and each class attacks one of the
-/// service's concurrency or admission invariants: a slow handler eats
-/// its request's deadline budget, a topology swap publishes a new epoch
-/// under in-flight readers, a tenant flood bursts far past one tenant's
-/// fair share, and alloc pressure spikes resident bytes (degrade, don't
-/// die). Probabilities are per storm step, drawn independently (fixed draw order, so raising one
-/// rate never perturbs another class's stream — same contract as
-/// StreamFaultInjector::fateFor).
-struct ServiceFaultConfig {
-    double slowHandlerProb = 0.0;
-    /// Service-time multiplier applied to a slowed request (>= 1).
-    double slowFactor = 8.0;
-    double topologySwapProb = 0.0;
-    /// Fraction of injected swaps that carry a snapshot failing
-    /// validation — the graceful-degradation (serve-stale) path.
-    double invalidSwapProb = 0.0;
-    double tenantFloodProb = 0.0;
-    /// Extra requests one flooding tenant submits in its burst (>= 1).
-    int floodBurst = 16;
-    double allocPressureProb = 0.0;
-    /// Size of one injected resident-byte spike.
-    std::uint64_t allocPressureBytes = 64ULL << 20;
-
-    /// Throws net::PreconditionError when any probability is outside
-    /// [0,1], slowFactor < 1 or non-finite, or floodBurst < 1.
-    void validate() const;
-};
-
-/// Deterministic per-step fault source for the service storm harness.
-/// Like StreamFaultInjector it is ignorant of what the service does with
-/// a fault — the service layer owns request semantics; resilience owns
-/// when and how the environment turns hostile.
-class ServiceFaultInjector {
-public:
-    explicit ServiceFaultInjector(ServiceFaultConfig config);
-
-    [[nodiscard]] const ServiceFaultConfig& config() const {
-        return config_;
-    }
-
-    /// What goes wrong during one storm step. Draw once per step in step
-    /// order; deterministic given the rng state.
-    struct StepFaults {
-        bool slowHandler = false;
-        bool topologySwap = false;
-        /// Meaningful only when topologySwap: the published snapshot
-        /// fails validation and the service must keep serving stale.
-        bool invalidSwap = false;
-        bool tenantFlood = false;
-        bool allocPressure = false;
-    };
-    [[nodiscard]] StepFaults faultsFor(net::Rng& rng) const;
-
-private:
-    ServiceFaultConfig config_;
-};
-
 } // namespace aio::resilience

@@ -1,6 +1,5 @@
 #include "routing/path_oracle.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "exec/worker_pool.hpp"
@@ -83,46 +82,6 @@ RouteClass PathOracle::routeClass(topo::AsIndex src,
                                   topo::AsIndex dst) const {
     AIO_EXPECTS(src < n_ && dst < n_, "AS index OOB");
     return static_cast<RouteClass>(klass_[dst * n_ + src]);
-}
-
-bool isValleyFree(const topo::Topology& topology,
-                  const std::vector<topo::AsIndex>& path) {
-    if (path.size() < 2) {
-        return true;
-    }
-    enum class Edge { Up, Peer, Down };
-    // Pattern: Up* Peer? Down*
-    int state = 0; // 0 = climbing, 1 = after peer, 2 = descending
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const topo::AsIndex a = path[i];
-        const topo::AsIndex b = path[i + 1];
-        Edge edge{};
-        const auto providers = topology.providersOf(a);
-        const auto customers = topology.customersOf(a);
-        const auto peers = topology.peersOf(a);
-        if (std::ranges::find(providers, b) != providers.end()) {
-            edge = Edge::Up;
-        } else if (std::ranges::find(customers, b) != customers.end()) {
-            edge = Edge::Down;
-        } else if (std::ranges::find(peers, b) != peers.end()) {
-            edge = Edge::Peer;
-        } else {
-            return false; // not an adjacency at all
-        }
-        switch (edge) {
-        case Edge::Up:
-            if (state != 0) return false;
-            break;
-        case Edge::Peer:
-            if (state != 0) return false;
-            state = 1;
-            break;
-        case Edge::Down:
-            state = 2;
-            break;
-        }
-    }
-    return true;
 }
 
 } // namespace aio::route

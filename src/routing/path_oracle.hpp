@@ -97,10 +97,4 @@ private:
     std::vector<std::uint8_t> klass_;    ///< RouteClass per (dst,src)
 };
 
-/// True when an AS-level path is valley-free under the topology's business
-/// relationships (the routing property tests check every oracle path
-/// with it).
-[[nodiscard]] bool isValleyFree(const topo::Topology& topology,
-                                const std::vector<topo::AsIndex>& path);
-
 } // namespace aio::route

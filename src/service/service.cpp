@@ -70,7 +70,7 @@ ObservatoryService::submit(ServiceRequest request) {
         return future;
     }
     const AdmissionDecision decision = admission_.decide(
-        request, now, queue_.size(), residentBytesLocked());
+        request, now, queue_.size(), relieveMemoryPressureLocked());
     if (!decision.admitted) {
         ServiceResponse response;
         response.status = ResponseStatus::Rejected;
@@ -132,26 +132,12 @@ bool ObservatoryService::degradedMode() const {
 }
 
 void ObservatoryService::injectAllocPressure(std::uint64_t bytes) {
-    bool shrink = false;
-    {
-        const std::lock_guard<std::mutex> lock{mutex_};
-        allocPressureBytes_ += bytes;
-        shrink = config_.admission.shedResidentBytes != 0 &&
-                 residentBytesLocked() >=
-                     config_.admission.shedResidentBytes;
-    }
-    if (shrink) {
-        // Ladder rung below shedding: give memory back by shrinking the
-        // current snapshot's cache down to the degraded budget.
-        const PinnedSnapshot pinned = epochs_.pin();
-        pinned->cache().setByteBudget(config_.degradedCacheByteBudget);
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.cache_shrinks").add();
-        }
-    }
+    const std::lock_guard<std::mutex> lock{mutex_};
+    allocPressureBytes_ += bytes;
+    const std::uint64_t resident = relieveMemoryPressureLocked();
     if (metrics_ != nullptr) {
         metrics_->gauge("service.resident_bytes")
-            .set(static_cast<double>(residentBytes()));
+            .set(static_cast<double>(resident));
     }
 }
 
@@ -167,6 +153,22 @@ std::uint64_t ObservatoryService::residentBytes() const {
 
 std::uint64_t ObservatoryService::residentBytesLocked() const {
     return epochs_.residentBytes() + allocPressureBytes_;
+}
+
+std::uint64_t ObservatoryService::relieveMemoryPressureLocked() {
+    const std::uint64_t watermark = config_.admission.shedResidentBytes;
+    const std::uint64_t resident = residentBytesLocked();
+    if (watermark == 0 || resident < watermark) {
+        return resident;
+    }
+    // Ladder rung below shedding: give memory back by shrinking the
+    // current snapshot's cache down to the degraded budget. Lock order
+    // is service -> epoch -> cache, as in residentBytesLocked().
+    epochs_.pin()->cache().setByteBudget(config_.degradedCacheByteBudget);
+    if (metrics_ != nullptr) {
+        metrics_->counter("service.cache_shrinks").add();
+    }
+    return residentBytesLocked();
 }
 
 bool ObservatoryService::runOne() {

@@ -109,8 +109,9 @@ public:
 
     /// Fault hook: pretends `bytes` of resident growth (allocation
     /// pressure spike). When the shed watermark is crossed, the ladder
-    /// shrinks the current snapshot's cache budget immediately and heavy
-    /// admissions start shedding MemoryPressure.
+    /// shrinks the current snapshot's cache budget immediately, as
+    /// submit() does when real resident bytes cross it, and heavy
+    /// admissions shed MemoryPressure while the bytes stay past it.
     void injectAllocPressure(std::uint64_t bytes);
     void clearAllocPressure();
     /// Live epochs' snapshot bytes plus injected pressure.
@@ -147,6 +148,10 @@ private:
     [[nodiscard]] ServiceResponse execute(Pending& pending);
     void handlerLoop();
     [[nodiscard]] std::uint64_t residentBytesLocked() const;
+    /// At or past the shed watermark, shrinks the current snapshot's
+    /// cache to the degraded budget. Returns the resident bytes left,
+    /// which admission then decides on. Requires mutex_.
+    std::uint64_t relieveMemoryPressureLocked();
 
     ServiceConfig config_;
     const obs::Clock* clock_;

@@ -285,7 +285,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             // Fixed stream per routing state: the share depends only on
             // the substrate and the oracle's filter, never on batch
             // order, thread count or cache temperature.
-            net::Rng rng{substrate_->seed() + 11};
+            net::Rng rng = substrate_->detourStream();
             job.detourShare = studies.detourStudy(kDetourSamplePairs, rng)
                                   .overallDetourShare;
         }, options_.cancel);
@@ -385,7 +385,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 const outage::ImpactReport& report = slots[slot]->value();
                 const core::ConnectivityStudies studies{
                     substrate_->topology(), *degraded};
-                net::Rng detourRng{substrate_->seed() + 11};
+                net::Rng detourRng = substrate_->detourStream();
                 aggSlots[slot].emplace(ScenarioAggregates{
                     meanCountryLoss(report), report.resolutionDays(),
                     studies.detourStudy(kDetourSamplePairs, detourRng)

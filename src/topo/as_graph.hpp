@@ -40,6 +40,12 @@ enum class AsType {
 
 [[nodiscard]] std::string_view asTypeName(AsType type);
 
+/// True for the eyeball networks, whose users the paper measures: fixed
+/// access ISPs and mobile operators.
+[[nodiscard]] constexpr bool isEyeball(AsType type) {
+    return type == AsType::AccessIsp || type == AsType::MobileOperator;
+}
+
 /// Static description of one AS.
 struct AsInfo {
     Asn asn = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "resolution_simulator.hpp"
 #include "routing/path_oracle.hpp"
 #include "topo/generator.hpp"
 

@@ -382,71 +382,5 @@ TEST(StreamFaultInjector, UnknownProbeIsRefused) {
                  net::PreconditionError);
 }
 
-TEST(ServiceFaultInjector, ValidatesConfigAtConstruction) {
-    const auto rejects = [](auto mutate) {
-        ServiceFaultConfig config;
-        mutate(config);
-        EXPECT_THROW(config.validate(), net::PreconditionError);
-        EXPECT_THROW(ServiceFaultInjector{config}, net::PreconditionError);
-    };
-    rejects([](ServiceFaultConfig& c) { c.slowHandlerProb = -0.1; });
-    rejects([](ServiceFaultConfig& c) { c.topologySwapProb = 1.5; });
-    rejects([](ServiceFaultConfig& c) { c.invalidSwapProb = 2.0; });
-    rejects([](ServiceFaultConfig& c) { c.tenantFloodProb = -1.0; });
-    rejects([](ServiceFaultConfig& c) { c.allocPressureProb = 1.01; });
-    rejects([](ServiceFaultConfig& c) { c.slowFactor = 0.5; });
-    rejects([](ServiceFaultConfig& c) { c.floodBurst = 0; });
-    EXPECT_NO_THROW(ServiceFaultConfig{}.validate());
-}
-
-TEST(ServiceFaultInjector, StepStreamIsDeterministicAndIndependent) {
-    ServiceFaultConfig config;
-    config.slowHandlerProb = 0.3;
-    config.topologySwapProb = 0.2;
-    config.invalidSwapProb = 0.5;
-    config.tenantFloodProb = 0.1;
-    config.allocPressureProb = 0.15;
-    const ServiceFaultInjector injector{config};
-
-    const auto draw = [&](const ServiceFaultInjector& inj) {
-        net::Rng rng{77};
-        std::vector<ServiceFaultInjector::StepFaults> steps;
-        for (int i = 0; i < 400; ++i) {
-            steps.push_back(inj.faultsFor(rng));
-        }
-        return steps;
-    };
-    const auto first = draw(injector);
-    const auto second = draw(injector);
-    int swaps = 0;
-    int invalid = 0;
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].slowHandler, second[i].slowHandler);
-        EXPECT_EQ(first[i].topologySwap, second[i].topologySwap);
-        EXPECT_EQ(first[i].invalidSwap, second[i].invalidSwap);
-        EXPECT_EQ(first[i].tenantFlood, second[i].tenantFlood);
-        EXPECT_EQ(first[i].allocPressure, second[i].allocPressure);
-        // An invalid swap only ever rides on an actual swap.
-        EXPECT_LE(first[i].invalidSwap, first[i].topologySwap);
-        swaps += first[i].topologySwap ? 1 : 0;
-        invalid += first[i].invalidSwap ? 1 : 0;
-    }
-    EXPECT_GT(swaps, 0);
-    EXPECT_GT(invalid, 0);
-    EXPECT_LT(invalid, swaps);
-
-    // Fixed draw order: zeroing one class leaves the others' decision
-    // streams untouched.
-    ServiceFaultConfig quietFloods = config;
-    quietFloods.tenantFloodProb = 0.0;
-    const auto muted = draw(ServiceFaultInjector{quietFloods});
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].slowHandler, muted[i].slowHandler);
-        EXPECT_EQ(first[i].topologySwap, muted[i].topologySwap);
-        EXPECT_EQ(first[i].allocPressure, muted[i].allocPressure);
-        EXPECT_FALSE(muted[i].tenantFlood);
-    }
-}
-
 } // namespace
 } // namespace aio::resilience

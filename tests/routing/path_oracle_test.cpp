@@ -6,6 +6,7 @@
 
 #include "netbase/error.hpp"
 #include "topo/generator.hpp"
+#include "valley_free.hpp"
 
 namespace aio::route {
 namespace {

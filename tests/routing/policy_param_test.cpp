@@ -7,6 +7,7 @@
 
 #include "routing/path_oracle.hpp"
 #include "topo/generator.hpp"
+#include "valley_free.hpp"
 
 namespace aio::route {
 namespace {

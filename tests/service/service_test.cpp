@@ -211,6 +211,36 @@ TEST(ObservatoryService, AllocPressureShrinksCacheAndShedsHeavyKinds) {
     EXPECT_EQ(recovered.get().status, ResponseStatus::Ok);
 }
 
+TEST(ObservatoryService, RealMemoryPressureShrinksCacheBeforeShedding) {
+    SnapshotConfig snapConfig;
+    snapConfig.cacheCapacity = 8;
+    const auto snapshot = tinySnapshot(31, snapConfig);
+    const sweep::ScenarioSweepEngine warmer{snapshot->substrate()};
+    (void)warmer.run(cableCuts({"WACS", "SEACOM", "ACE"}));
+    ASSERT_GT(snapshot->cache().stats().entries, 1u);
+
+    ServiceConfig config;
+    config.admission.shedResidentBytes = snapshot->residentBytes() + 1000;
+    obs::ManualClock clock;
+    ObservatoryService service{snapshot, config, &clock};
+    service.registerTenant(quotaFor("acme"));
+
+    // One admitted sweep grows the cache past the watermark: real
+    // resident bytes, nothing injected.
+    auto first = service.submit(sweepRequest("acme", cableCuts({"EASSy"})));
+    EXPECT_EQ(service.drain(), 1u);
+    EXPECT_EQ(first.get().status, ResponseStatus::Ok);
+    ASSERT_GE(service.residentBytes(), config.admission.shedResidentBytes);
+
+    // The next heavy submission first shrinks the cache, then is admitted
+    // on the bytes that remain.
+    auto next = service.submit(sweepRequest("acme", cableCuts({"WACS"})));
+    EXPECT_EQ(service.drain(), 1u);
+    EXPECT_EQ(next.get().status, ResponseStatus::Ok);
+    EXPECT_LE(snapshot->cache().stats().entries, 1u);
+    EXPECT_LT(service.residentBytes(), config.admission.shedResidentBytes);
+}
+
 TEST(ObservatoryService, QueueFullRejectsWithRetryAfter) {
     ServiceConfig config;
     config.admission.queueCapacity = 2;

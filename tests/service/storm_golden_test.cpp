@@ -1,4 +1,4 @@
-#include "service/storm.hpp"
+#include "storm.hpp"
 
 #include <gtest/gtest.h>
 

@@ -18,8 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "../appdeps/resolution_simulator.hpp"
 #include "../core/whatif_reference.hpp"
-#include "dns/resolver.hpp"
 #include "routing/route_oracle.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
