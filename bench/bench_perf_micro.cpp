@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_set>
 
 #include "core/budget.hpp"
@@ -379,10 +380,14 @@ BENCHMARK(BM_ContinentOracleBuild)
 // strided destination rows with no filter; mode 1 solves the same rows
 // under the four-cable west-corridor cut (WACS, MainOne, SAT-3, ACE),
 // derived through the link map a default Substrate draws. Each row
-// resets only the ASes it routed, as the sweep's destination loop does.
-// Compare the two rows' time per iteration (same row count).
+// refills its class row with None first. Modes 2 (unfiltered) and 3
+// (corridor) answer the same rows with kernel::reachDestinations
+// instead, kReachBlock rows per pass, as the sweep's scoring does: one
+// bit per (AS, row), with no next hop. Compare time per iteration (same
+// row count).
 void BM_KernelCorridorRows(benchmark::State& state) {
-    const bool corridor = state.range(0) != 0;
+    const bool corridor = state.range(0) % 2 != 0;
+    const bool reach = state.range(0) >= 2;
     const auto& topo = continent(10000);
     route::LinkFilter filter;
     if (corridor) {
@@ -409,14 +414,29 @@ void BM_KernelCorridorRows(benchmark::State& state) {
     std::vector<std::int32_t> next(n);
     std::vector<std::uint8_t> klass(
         n, static_cast<std::uint8_t>(route::RouteClass::None));
+    const route::kernel::CustomerFirstOrder order{topo};
+    route::kernel::ReachScratch bits;
+    bits.prepare(n);
     for (auto _ : state) {
-        for (const topo::AsIndex dst : rows) {
-            const std::size_t routed = route::kernel::solveDestination(
-                topo, compiled, dst, next.data(), klass.data(), scratch);
-            for (std::size_t r = 0; r < routed; ++r) {
-                klass[scratch.queue[r]] =
-                    static_cast<std::uint8_t>(route::RouteClass::None);
+        if (reach) {
+            for (std::size_t first = 0; first < rows.size();
+                 first += route::kernel::kReachBlock) {
+                route::kernel::reachDestinations(
+                    topo, compiled, order,
+                    std::span{rows}.subspan(
+                        first, std::min(route::kernel::kReachBlock,
+                                        rows.size() - first)),
+                    bits);
             }
+            benchmark::DoNotOptimize(bits.routed.data());
+            benchmark::ClobberMemory();
+            continue;
+        }
+        for (const topo::AsIndex dst : rows) {
+            std::ranges::fill(
+                klass, static_cast<std::uint8_t>(route::RouteClass::None));
+            route::kernel::solveDestination(topo, compiled, dst, next.data(),
+                                            klass.data(), scratch);
         }
         benchmark::DoNotOptimize(klass.data());
     }
@@ -425,11 +445,13 @@ void BM_KernelCorridorRows(benchmark::State& state) {
     state.SetLabel(std::to_string(n) + " ASes, " +
                    std::to_string(rows.size()) + " rows, " +
                    std::to_string(filter.disabledLinkCount()) +
-                   " links disabled");
+                   " links disabled" + (reach ? ", reachability" : ""));
 }
 BENCHMARK(BM_KernelCorridorRows)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 // Scenario throughput under the sharded policy at continental scale: the
@@ -475,10 +497,11 @@ void BM_ShardedSweepScenarios(benchmark::State& state) {
     net::Rng rng{2718};
     std::vector<core::ScenarioSpec> scenarios;
     // One scenario at 50k. A cacheless sweep scores each routing state
-    // destination-major: it solves the analyzer's query-plan rows (each
-    // eyeball's resolver and its country's sampled site hosts, about a
-    // third of the ASes) across the pool's lanes and builds no oracle,
-    // so each further scenario adds one more pass over those rows.
+    // destination-major: it answers the analyzer's query-plan
+    // destinations (each eyeball's resolver and its country's sampled
+    // site hosts, about a third of the ASes) with reachability passes of
+    // up to kReachBlock destinations across the pool's lanes and builds
+    // no oracle, so each further scenario adds one more set of passes.
     const int sets = target > 10000 ? 1 : 16;
     for (int set = 0; set < sets; ++set) {
         std::vector<std::string> cuts;

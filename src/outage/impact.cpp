@@ -16,15 +16,6 @@ namespace {
 /// Routing states whose query bytes routingImpacts holds at once.
 constexpr std::size_t kStatesInFlight = 8;
 
-/// One lane's row solve working set: the kernel scratch and one row
-/// pair, whose `klass` is kept at None between solves (the kernel reads
-/// `next` only where it has set `klass`).
-struct LaneRow {
-    route::kernel::DestScratch kernel;
-    std::vector<std::int32_t> next;
-    std::vector<std::uint8_t> klass;
-};
-
 /// Walk reachability answered by a route oracle, query by query.
 auto oracleReach(const route::RouteOracle& oracle) {
     return [&oracle](const auto& country, std::size_t i, std::size_t k) {
@@ -32,6 +23,14 @@ auto oracleReach(const route::RouteOracle& oracle) {
         return oracle.reachable(client.as, k == 0
                                                ? client.resolver
                                                : country.sites[k - 1].host);
+    };
+}
+
+/// Walk reachability answered by one routing state's query bytes.
+auto slotReach(const std::uint8_t* bytes) {
+    return [bytes](const auto& country, std::size_t i, std::size_t k) {
+        return bytes[country.firstSlot + i * (1 + country.sites.size()) +
+                     k] != 0;
     };
 }
 
@@ -64,7 +63,8 @@ ImpactAnalyzer::ImpactAnalyzer(const topo::Topology& topology,
                                exec::WorkerPool* pool,
                                obs::MetricsRegistry* metrics)
     : topo_(&topology), linkMap_(&linkMap), config_(config),
-      oracleCache_(oracleCache), pool_(pool), metrics_(metrics) {
+      oracleCache_(oracleCache), pool_(pool), metrics_(metrics),
+      order_(topology) {
     if (oracleCache_) {
         // The baseline (no-failure) state is the cache's natural seed:
         // every analyzer sharing the cache then shares one baseline build.
@@ -108,21 +108,36 @@ ImpactAnalyzer::ImpactAnalyzer(const topo::Topology& topology,
                 {as, info.trafficWeight, resolver->resolverAs});
         }
     }
-    for (CountryScoring& scoring : countries_) {
-        scoring.baselineSuccess =
-            walk(scoring, oracleReach(*baselineOracle_)).success;
+    // Baseline success comes from the no-failure state's reachability
+    // pass over a plan of every country, so no baseline row is read here
+    // (a sharded baseline stays empty); the plan then keeps only the
+    // countries with positive success, the ones routingImpact walks.
+    buildQueryPlan(true);
+    {
+        const route::kernel::CompiledFilter intact{route::LinkFilter{},
+                                                   topology.asCount()};
+        std::vector<std::uint8_t> bytes(plan_.slots);
+        answerQueries({&intact, 1}, bytes.data(), nullptr, nullptr);
+        for (CountryScoring& scoring : countries_) {
+            scoring.baselineSuccess =
+                walk(scoring, slotReach(bytes.data())).success;
+        }
     }
-    buildQueryPlan();
+    buildQueryPlan(false);
 }
 
-void ImpactAnalyzer::buildQueryPlan() {
+void ImpactAnalyzer::buildQueryPlan(bool everyCountry) {
     // Counting sort of every query slot by destination: count, offset,
     // then fill in slot order, so each destination's queries ascend.
     const std::size_t n = topo_->asCount();
+    const auto planned = [&](const CountryScoring& country) {
+        return everyCountry || country.baselineSuccess > 0.0;
+    };
+    plan_ = {};
     std::vector<std::uint32_t> start(n + 1, 0);
     std::size_t slots = 0;
     for (CountryScoring& country : countries_) {
-        if (country.baselineSuccess <= 0.0) {
+        if (!planned(country)) {
             continue; // routingImpact never walks it
         }
         country.firstSlot = slots;
@@ -147,7 +162,7 @@ void ImpactAnalyzer::buildQueryPlan() {
                                       static_cast<std::uint32_t>(slot)};
     };
     for (const CountryScoring& country : countries_) {
-        if (country.baselineSuccess <= 0.0) {
+        if (!planned(country)) {
             continue;
         }
         std::size_t slot = country.firstSlot;
@@ -285,25 +300,64 @@ ImpactAnalyzer::routingImpact(const route::RouteOracle& oracle) const {
     return impactOf(oracleReach(oracle));
 }
 
+void ImpactAnalyzer::answerQueries(
+    std::span<const route::kernel::CompiledFilter> filters,
+    std::uint8_t* bytes, const exec::CancelToken* cancel,
+    std::atomic<std::uint64_t>* nanos) const {
+    const std::size_t n = topo_->asCount();
+    const std::size_t dests = plan_.destinations.size();
+    const std::size_t blocks =
+        (dests + route::kernel::kReachBlock - 1) / route::kernel::kReachBlock;
+    const obs::Clock* clock = nanos != nullptr ? &metrics_->clock() : nullptr;
+    std::vector<route::kernel::ReachScratch> lanes(
+        pool_ != nullptr ? static_cast<std::size_t>(pool_->threadCount()) : 1);
+    // Item s * blocks + b answers state s's destinations [b * kReachBlock,
+    // (b + 1) * kReachBlock). Its queries own their slots, so lanes write
+    // disjoint bytes.
+    const auto answer = [&](std::size_t item, std::size_t lane) {
+        if (cancel != nullptr) {
+            cancel->checkpoint();
+        }
+        const std::uint64_t started = clock ? clock->nowNanos() : 0;
+        const std::size_t s = item / blocks;
+        const std::size_t first = item % blocks * route::kernel::kReachBlock;
+        const std::size_t count =
+            std::min(route::kernel::kReachBlock, dests - first);
+        route::kernel::ReachScratch& reach = lanes[lane];
+        reach.prepare(n);
+        route::kernel::reachDestinations(
+            *topo_, filters[s], order_,
+            std::span{plan_.destinations}.subspan(first, count), reach);
+        std::uint8_t* out = bytes + s * plan_.slots;
+        for (std::size_t j = 0; j < count; ++j) {
+            for (std::uint32_t q = plan_.offsets[first + j];
+                 q < plan_.offsets[first + j + 1]; ++q) {
+                const QueryPlan::Query query = plan_.queries[q];
+                out[query.slot] = reach.reaches(query.client, j);
+            }
+        }
+        if (clock != nullptr) {
+            nanos[s].fetch_add(clock->nowNanos() - started,
+                               std::memory_order_relaxed);
+        }
+    };
+    const std::size_t items = filters.size() * blocks;
+    if (pool_ != nullptr) {
+        pool_->parallelFor(items, answer);
+    } else {
+        for (std::size_t item = 0; item < items; ++item) {
+            answer(item, 0);
+        }
+    }
+}
+
 std::vector<RoutingImpact> ImpactAnalyzer::routingImpacts(
     std::span<const route::LinkFilter* const> states,
     const exec::CancelToken* cancel, std::span<double> stateSeconds) const {
     AIO_EXPECTS(stateSeconds.empty() || stateSeconds.size() == states.size(),
                 "stateSeconds must be empty or 1:1 with states");
     std::vector<RoutingImpact> out(states.size());
-    const std::size_t n = topo_->asCount();
-    const std::size_t dests = plan_.destinations.size();
-    const std::size_t lanes =
-        pool_ != nullptr ? static_cast<std::size_t>(pool_->threadCount()) : 1;
-    std::vector<LaneRow> rows(lanes);
-    for (LaneRow& row : rows) {
-        row.kernel.prepare(n);
-        row.next.resize(n);
-        row.klass.assign(n, static_cast<std::uint8_t>(route::RouteClass::None));
-    }
-    const obs::Clock* clock = stateSeconds.empty() || metrics_ == nullptr
-                                  ? nullptr
-                                  : &metrics_->clock();
+    const bool timed = !stateSeconds.empty() && metrics_ != nullptr;
     std::vector<std::uint8_t> reach(
         std::min(kStatesInFlight, states.size()) * plan_.slots);
 
@@ -314,56 +368,19 @@ std::vector<RoutingImpact> ImpactAnalyzer::routingImpacts(
         std::vector<route::kernel::CompiledFilter> filters;
         filters.reserve(count);
         for (std::size_t s = 0; s < count; ++s) {
-            filters.emplace_back(*states[first + s], n);
+            filters.emplace_back(*states[first + s], topo_->asCount());
         }
-        std::vector<std::atomic<std::uint64_t>> nanos(clock ? count : 0);
-        // Item s * dests + d solves destination d under state s. Its
-        // queries own their slots, so lanes write disjoint bytes.
-        const auto solve = [&](std::size_t item, std::size_t lane) {
-            const std::uint64_t started = clock ? clock->nowNanos() : 0;
-            const std::size_t s = item / dests;
-            const std::size_t d = item % dests;
-            LaneRow& row = rows[lane];
-            const std::size_t routed = route::kernel::solveDestination(
-                *topo_, filters[s], plan_.destinations[d], row.next.data(),
-                row.klass.data(), row.kernel);
-            std::uint8_t* bytes = reach.data() + s * plan_.slots;
-            for (std::uint32_t q = plan_.offsets[d]; q < plan_.offsets[d + 1];
-                 ++q) {
-                const QueryPlan::Query query = plan_.queries[q];
-                bytes[query.slot] =
-                    row.klass[query.client] !=
-                    static_cast<std::uint8_t>(route::RouteClass::None);
-            }
-            for (std::size_t r = 0; r < routed; ++r) {
-                row.klass[row.kernel.queue[r]] =
-                    static_cast<std::uint8_t>(route::RouteClass::None);
-            }
-            if (clock != nullptr) {
-                nanos[s].fetch_add(clock->nowNanos() - started,
-                                   std::memory_order_relaxed);
-            }
-        };
-        if (pool_ != nullptr) {
-            pool_->parallelFor(count * dests, solve, cancel);
-        } else {
-            for (std::size_t item = 0; item < count * dests; ++item) {
-                if (cancel != nullptr) {
-                    cancel->checkpoint();
-                }
-                solve(item, 0);
-            }
-        }
+        std::vector<std::atomic<std::uint64_t>> nanos(timed ? count : 0);
+        answerQueries(filters, reach.data(), cancel,
+                      timed ? nanos.data() : nullptr);
         for (std::size_t s = 0; s < count; ++s) {
-            const std::uint64_t started = clock ? clock->nowNanos() : 0;
-            const std::uint8_t* bytes = reach.data() + s * plan_.slots;
-            out[first + s] = impactOf([&](const CountryScoring& country,
-                                          std::size_t i, std::size_t k) {
-                return bytes[country.firstSlot +
-                             i * (1 + country.sites.size()) + k] != 0;
-            });
-            if (clock != nullptr) {
-                const std::uint64_t walked = clock->nowNanos() - started;
+            const std::uint64_t started =
+                timed ? metrics_->clock().nowNanos() : 0;
+            out[first + s] =
+                impactOf(slotReach(reach.data() + s * plan_.slots));
+            if (timed) {
+                const std::uint64_t walked =
+                    metrics_->clock().nowNanos() - started;
                 stateSeconds[first + s] =
                     static_cast<double>(
                         nanos[s].load(std::memory_order_relaxed) + walked) *

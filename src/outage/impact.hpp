@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -11,6 +12,7 @@
 #include "exec/cancel.hpp"
 #include "outage/events.hpp"
 #include "routing/oracle_cache.hpp"
+#include "routing/route_kernel.hpp"
 #include "routing/route_oracle.hpp"
 #include "routing/sharded_oracle.hpp"
 
@@ -91,7 +93,10 @@ public:
     /// outlive the analyzer): the cache reuses degraded PathOracles across
     /// scenarios sharing a failure filter (it is seeded with the baseline
     /// oracle on construction), the pool parallelizes oracle builds and
-    /// routingImpacts' row solves.
+    /// the reachability passes of routingImpacts and of construction.
+    /// Construction computes each country's baseline success from the
+    /// no-failure state's reachability pass, so it reads no baseline row
+    /// (a sharded baseline oracle stays empty until something queries it).
     /// `metrics` (optional, not owned) records assessment counts and the
     /// `impact.assess_seconds` histogram, one sample per score().
     /// `resolvers` and `catalog` are read only here: the per-country
@@ -125,24 +130,27 @@ public:
 
     /// routingImpact for each routing state in `states`, bitwise equal to
     /// routingImpact of an oracle built for that filter, but computed
-    /// destination-major and without building one. Per state, the pool's
-    /// lanes solve only the query plan's destination rows (the resolvers
-    /// and sampled site hosts of the countries routingImpact walks) with
-    /// the route kernel under the state's compiled filter, and record one
+    /// destination-major and without building one or solving a route.
+    /// The pool's lanes take (state, block) items: a block is up to
+    /// route::kernel::kReachBlock of the query plan's destinations (the
+    /// resolvers and sampled site hosts of the countries routingImpact
+    /// walks), answered by one kernel::reachDestinations pass under the
+    /// state's compiled filter, which sets exactly the bits of the ASes
+    /// the route kernel would route. The item then records one
     /// reachability byte per (client, destination) query; each country's
-    /// walk then reads those bytes in routingImpact's order. A bounded
-    /// number of states is in flight at once, so the query bytes held do
-    /// not grow with states.size(). `cancel` (optional, not owned) is
-    /// polled at the pool's chunk boundaries, or between rows without a
-    /// pool. A non-empty `stateSeconds` (1:1 with `states`) receives each
-    /// state's lane seconds — its row solves plus its walk — on the
-    /// metrics registry's clock; it is left as given without a registry.
+    /// walk reads those bytes in routingImpact's order. A bounded number
+    /// of states is in flight at once, so the query bytes held do not
+    /// grow with states.size(). `cancel` (optional, not owned) is polled
+    /// once at the start of every item. A non-empty `stateSeconds` (1:1
+    /// with `states`) receives each state's lane seconds — its items'
+    /// passes plus its walk — on the metrics registry's clock; it is left
+    /// as given without a registry.
     [[nodiscard]] std::vector<RoutingImpact>
     routingImpacts(std::span<const route::LinkFilter* const> states,
                    const exec::CancelToken* cancel = nullptr,
                    std::span<double> stateSeconds = {}) const;
 
-    /// Distinct destination rows routingImpacts solves per routing state.
+    /// Distinct destinations routingImpacts answers per routing state.
     [[nodiscard]] std::size_t plannedDestinations() const {
         return plan_.destinations.size();
     }
@@ -226,7 +234,18 @@ private:
     template <typename Reach>
     [[nodiscard]] RoutingImpact impactOf(const Reach& reachable) const;
 
-    void buildQueryPlan();
+    /// Plans the queries of every country when `everyCountry`, else of
+    /// those with positive baseline success.
+    void buildQueryPlan(bool everyCountry);
+
+    /// Writes state s's reachability byte of every query slot into
+    /// bytes[s * plan_.slots, (s + 1) * plan_.slots), for each of
+    /// `filters`, over (state, block) items on the pool's lanes; polls
+    /// `cancel` once per item. A non-null `nanos` (1:1 with `filters`)
+    /// accumulates each state's item time on the metrics clock.
+    void answerQueries(std::span<const route::kernel::CompiledFilter> filters,
+                       std::uint8_t* bytes, const exec::CancelToken* cancel,
+                       std::atomic<std::uint64_t>* nanos) const;
 
     const topo::Topology* topo_;
     const phys::PhysicalLinkMap* linkMap_;
@@ -234,6 +253,7 @@ private:
     route::OracleCache* oracleCache_;
     exec::WorkerPool* pool_;
     obs::MetricsRegistry* metrics_;
+    route::kernel::CustomerFirstOrder order_;
     std::shared_ptr<const route::RouteOracle> baselineOracle_;
     std::vector<CountryScoring> countries_; ///< CountryTable::african() order
     QueryPlan plan_;

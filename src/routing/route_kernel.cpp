@@ -72,15 +72,15 @@ std::size_t DestScratch::bytesFor(std::size_t n) {
 // later parent at the same distance takes over the next hop when its
 // ASN ranks lower, which leaves exactly the lowest-ASN parent — the
 // first one an ASN-ordered walk of the level would have met.
-std::size_t solveDestination(const topo::Topology& topology,
-                             const CompiledFilter& filter, topo::AsIndex dst,
-                             std::int32_t* next, std::uint8_t* klass,
-                             DestScratch& scratch) {
+void solveDestination(const topo::Topology& topology,
+                      const CompiledFilter& filter, topo::AsIndex dst,
+                      std::int32_t* next, std::uint8_t* klass,
+                      DestScratch& scratch) {
     const std::size_t n = topology.asCount();
     AIO_EXPECTS(filter.asCount() == n && scratch.dist.size() == n,
                 "filter and scratch must match the topology size");
     if (!filter.asAllowed(dst)) {
-        return 0;
+        return;
     }
     // dist is read only where this solve wrote it (ASes whose class it
     // set), so it needs no reset between destinations.
@@ -158,7 +158,166 @@ std::size_t solveDestination(const topo::Topology& topology,
         relaxLevel(peer, peerEnd, b);
         relaxLevel(reached, tail, b); // stops before the b + 1 it appends
     }
-    return tail;
+}
+
+CustomerFirstOrder::CustomerFirstOrder(const topo::Topology& topology) {
+    AIO_EXPECTS(topology.finalized(), "order a finalized topology");
+    // Kahn's algorithm over customer->provider edges: an AS joins the
+    // order once its last customer has.
+    const std::size_t n = topology.asCount();
+    std::vector<std::uint32_t> pending(n);
+    ases.reserve(n);
+    for (topo::AsIndex as = 0; as < n; ++as) {
+        pending[as] =
+            static_cast<std::uint32_t>(topology.customersUnchecked(as).size());
+        if (pending[as] == 0) {
+            ases.push_back(static_cast<std::uint32_t>(as));
+        }
+    }
+    for (std::size_t head = 0; head < ases.size(); ++head) {
+        for (const std::uint32_t p : topology.providersUnchecked(ases[head])) {
+            if (--pending[p] == 0) {
+                ases.push_back(p);
+            }
+        }
+    }
+    complete = ases.size() == n;
+    for (topo::AsIndex as = 0; as < n && !complete; ++as) {
+        if (pending[as] != 0) {
+            ases.push_back(static_cast<std::uint32_t>(as));
+        }
+    }
+}
+
+void ReachScratch::prepare(std::size_t n) {
+    cone.resize(n * kReachWords);
+    routed.resize(n * kReachWords);
+}
+
+namespace {
+
+/// Ors AS `from`'s W words into `acc`.
+template <std::size_t W>
+void orInto(std::uint64_t* acc, const std::uint64_t* from) {
+    for (std::size_t w = 0; w < W; ++w) {
+        acc[w] |= from[w];
+    }
+}
+
+/// Stores `acc` as AS `to`'s W words; returns whether a bit changed.
+template <std::size_t W>
+bool store(std::uint64_t* to, const std::uint64_t* acc) {
+    std::uint64_t changed = 0;
+    for (std::size_t w = 0; w < W; ++w) {
+        changed |= to[w] ^ acc[w];
+        to[w] = acc[w];
+    }
+    return changed != 0;
+}
+
+// Each AS pulls from the ASes that would offer it a route, so a
+// disallowed AS is skipped and keeps all-zero words, and no edge needs
+// its sending end tested. With a complete order each phase is one pass;
+// otherwise a pass that changed a word is repeated, which only ever adds
+// bits some chain of allowed edges justifies, until none changes.
+template <std::size_t W>
+void reachBlock(const topo::Topology& topology, const CompiledFilter& filter,
+                const CustomerFirstOrder& order,
+                std::span<const topo::AsIndex> dsts, std::uint64_t* cone,
+                std::uint64_t* routed) {
+    const std::size_t n = topology.asCount();
+    std::fill_n(cone, n * W, std::uint64_t{0});
+    std::fill_n(routed, n * W, std::uint64_t{0});
+    for (std::size_t j = 0; j < dsts.size(); ++j) {
+        if (filter.asAllowed(dsts[j])) {
+            cone[dsts[j] * W + j / 64] |= std::uint64_t{1} << (j % 64);
+        }
+    }
+
+    // Phase 1: customer routes, up customer->provider edges.
+    const auto up = [&] {
+        bool changed = false;
+        for (const std::uint32_t p : order.ases) {
+            if (!filter.asAllowed(p)) {
+                continue;
+            }
+            std::uint64_t acc[W];
+            std::copy_n(cone + p * W, W, acc);
+            for (const std::uint32_t x : topology.customersUnchecked(p)) {
+                if (filter.linkAllowed(x, p)) {
+                    orInto<W>(acc, cone + x * W);
+                }
+            }
+            changed |= store<W>(cone + p * W, acc);
+        }
+        return changed;
+    };
+    // Phases 2 and 3: one peer hop off the cone, then provider routes
+    // down provider->customer edges from everything routed.
+    const auto down = [&] {
+        bool changed = false;
+        for (auto it = order.ases.rbegin(); it != order.ases.rend(); ++it) {
+            const std::uint32_t y = *it;
+            if (!filter.asAllowed(y)) {
+                continue;
+            }
+            std::uint64_t acc[W];
+            std::copy_n(routed + y * W, W, acc);
+            orInto<W>(acc, cone + y * W);
+            for (const std::uint32_t z : topology.peersUnchecked(y)) {
+                if (filter.linkAllowed(z, y)) {
+                    orInto<W>(acc, cone + z * W);
+                }
+            }
+            for (const std::uint32_t p : topology.providersUnchecked(y)) {
+                if (filter.linkAllowed(p, y)) {
+                    orInto<W>(acc, routed + p * W);
+                }
+            }
+            changed |= store<W>(routed + y * W, acc);
+        }
+        return changed;
+    };
+    while (up() && !order.complete) {
+    }
+    while (down() && !order.complete) {
+    }
+}
+
+} // namespace
+
+void reachDestinations(const topo::Topology& topology,
+                       const CompiledFilter& filter,
+                       const CustomerFirstOrder& order,
+                       std::span<const topo::AsIndex> dsts,
+                       ReachScratch& scratch) {
+    const std::size_t n = topology.asCount();
+    AIO_EXPECTS(filter.asCount() == n && order.ases.size() == n &&
+                    scratch.cone.size() == n * kReachWords,
+                "filter, order and scratch must match the topology size");
+    AIO_EXPECTS(dsts.size() <= kReachBlock,
+                "a reachability pass answers at most kReachBlock destinations");
+    for (const topo::AsIndex dst : dsts) {
+        AIO_EXPECTS(dst < n, "destination AS index OOB");
+    }
+    // Only as many words per AS as the block has destinations.
+    scratch.words = std::max<std::size_t>(1, (dsts.size() + 63) / 64);
+    std::uint64_t* cone = scratch.cone.data();
+    std::uint64_t* routed = scratch.routed.data();
+    switch (scratch.words) {
+    case 1:
+        reachBlock<1>(topology, filter, order, dsts, cone, routed);
+        break;
+    case 2:
+        reachBlock<2>(topology, filter, order, dsts, cone, routed);
+        break;
+    case 3:
+        reachBlock<3>(topology, filter, order, dsts, cone, routed);
+        break;
+    default:
+        reachBlock<kReachWords>(topology, filter, order, dsts, cone, routed);
+        break;
+    }
 }
 
 } // namespace aio::route::kernel

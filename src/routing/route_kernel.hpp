@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "routing/route_oracle.hpp"
@@ -93,14 +94,63 @@ struct DestScratch {
 /// never by arrival order, so the output row is a pure function of
 /// (topology, filter, dst): whichever thread, lane, or storage policy
 /// runs this produces the same bytes.
-///
-/// Returns how many ASes the solve routed: they are
-/// `scratch.queue[0, count)`, so a caller that reuses one row pair
-/// across destinations restores the contract by resetting just those
-/// `klass` entries.
-std::size_t solveDestination(const topo::Topology& topology,
-                             const CompiledFilter& filter, topo::AsIndex dst,
-                             std::int32_t* next, std::uint8_t* klass,
-                             DestScratch& scratch);
+void solveDestination(const topo::Topology& topology,
+                      const CompiledFilter& filter, topo::AsIndex dst,
+                      std::int32_t* next, std::uint8_t* klass,
+                      DestScratch& scratch);
+
+/// The topology's ASes with each one after all of its customers, so one
+/// pass up the customer->provider edges in this order, and one down them
+/// in reverse, carries a bit the whole way. Topology::addLink admits
+/// customer->provider cycles, which have no such order: the ASes on a
+/// cycle and above one then follow the ordered ones in index order,
+/// `complete` is false, and reachDestinations repeats each pass until no
+/// word changes. Compute once per topology.
+struct CustomerFirstOrder {
+    explicit CustomerFirstOrder(const topo::Topology& topology);
+
+    std::vector<std::uint32_t> ases; ///< every AS index, once
+    bool complete = true;
+};
+
+/// Destinations one reachDestinations call answers: one bit each, in at
+/// most kReachWords 64-bit words per AS.
+inline constexpr std::size_t kReachWords = 4;
+inline constexpr std::size_t kReachBlock = 64 * kReachWords;
+
+/// Reusable per-lane working set of reachDestinations: two n-AS word
+/// arrays, the customer cone's bits and the routed bits.
+struct ReachScratch {
+    std::vector<std::uint64_t> cone;
+    std::vector<std::uint64_t> routed;
+    std::size_t words = 0; ///< words per AS of the last call
+
+    /// Sizes the scratch for an n-AS topology: 2 * n * kReachWords
+    /// words (idempotent; call once per lane before the first
+    /// reachDestinations).
+    void prepare(std::size_t n);
+
+    /// Whether the last reachDestinations routed `as` towards its j-th
+    /// destination.
+    [[nodiscard]] bool reaches(topo::AsIndex as, std::size_t j) const {
+        return (routed[as * words + j / 64] >> (j % 64) & 1U) != 0;
+    }
+};
+
+/// The reachability twin of solveDestination, for up to kReachBlock
+/// destinations at once: afterwards scratch.reaches(as, j) holds exactly
+/// when solveDestination(topology, filter, dsts[j], ...) routes `as`
+/// (its klass is not None). That set is the customer cone (ASes that
+/// reach dsts[j] over allowed customer->provider edges), the ASes one
+/// allowed peer hop off it, and everything below either over allowed
+/// provider->customer edges; distances and ASN tie-breaks pick next hops
+/// among routed ASes but never decide whether one is routed. So each AS
+/// carries one bit per destination, ORed up the customer->provider edges
+/// in `order`, across one peer hop, then down in reverse order.
+void reachDestinations(const topo::Topology& topology,
+                       const CompiledFilter& filter,
+                       const CustomerFirstOrder& order,
+                       std::span<const topo::AsIndex> dsts,
+                       ReachScratch& scratch);
 
 } // namespace aio::route::kernel

@@ -64,11 +64,11 @@ struct SweepStats {
     /// hits solve nothing), in Full mode one oracle per scenario.
     std::size_t incrementalBuilds = 0;
     std::size_t fullBuilds = 0;
-    /// Destination rows those states solved: the analyzer's query-plan
-    /// rows (ImpactAnalyzer::plannedDestinations) per destination-major
-    /// state; per built oracle, RouteOracle::solvedRows read after the
-    /// routing-impact walks and detour samples — every row of a dense
-    /// build, the rows those queries touched of a sharded one.
+    /// Destination rows those states answered: the analyzer's query-plan
+    /// destinations (ImpactAnalyzer::plannedDestinations) per
+    /// destination-major state; per built oracle, RouteOracle::solvedRows
+    /// read after the routing-impact walks and detour samples — every row
+    /// of a dense build, the rows those queries touched of a sharded one.
     std::size_t dirtyDestinations = 0;
     /// Scenarios that changed a derived layer (cables added / config
     /// overrides) and therefore re-derived their stack per scenario.
@@ -182,8 +182,9 @@ struct BatchSweepResult {
 ///    and its routing impact is computed once;
 ///  * an Incremental batch with no oracle cache wired in and no
 ///    scenarioAggregates scores its states destination-major
-///    (ImpactAnalyzer::routingImpacts): the pool's lanes solve only the
-///    destination rows scoring reads, and no oracle is built;
+///    (ImpactAnalyzer::routingImpacts): the pool's lanes answer only
+///    the destinations scoring reads, with reachability passes, and no
+///    oracle is built;
 ///  * otherwise each unique cut set is one from-scratch oracle build
 ///    under the substrate's storage policy — every row eagerly under
 ///    dense, each queried row lazily under sharded — shared across

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "service_test_util.hpp"
 
 // The real-thread soak: handler threads, submitter threads (one per
@@ -170,6 +171,101 @@ TEST(ServiceSoak, ConcurrentTenantsSwapsAndShedsStayConsistent) {
     // With every pin released, only the current epoch stays resident.
     EXPECT_EQ(service.epochs().liveEpochs(), 1u);
     EXPECT_EQ(service.epochs().reclaimed(), swaps);
+    EXPECT_EQ(service.queueDepth(), 0u);
+}
+
+TEST(ServiceSoak, MemoryRungShrinksCachesWhileHandlersFillThem) {
+    // The shed watermark sits one byte above a fresh snapshot's resident
+    // bytes, so the first oracle a handler caches crosses it, and from
+    // then on submit() runs the memory rung: it shrinks the current
+    // snapshot's cache under the service lock while handler threads
+    // insert into it, and into the caches of the snapshots a publisher
+    // keeps rotating in.
+    constexpr std::size_t kTenants = 4;
+    constexpr std::size_t kHandlers = 4;
+
+    std::vector<std::shared_ptr<const ServiceSnapshot>> rotation;
+    for (std::uint64_t seed : {61u, 62u, 63u}) {
+        rotation.push_back(tinySnapshot(seed));
+    }
+    ServiceConfig config;
+    config.admission.queueCapacity = 64;
+    config.admission.shedQueueDepth = 48;
+    config.admission.shedResidentBytes = rotation[0]->residentBytes() + 1;
+    obs::SteadyClock clock;
+    obs::MetricsRegistry metrics{&clock};
+    ObservatoryService service{rotation[0], config, &clock, &metrics};
+    for (std::size_t t = 0; t < kTenants; ++t) {
+        service.registerTenant(
+            quotaFor("tenant-" + std::to_string(t), 1e9));
+    }
+    service.start(kHandlers);
+
+    const std::uint64_t deadline =
+        clock.nowNanos() + soakMillis() * 1'000'000ULL;
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> tornReads{0};
+    std::atomic<std::uint64_t> okCount{0};
+    std::atomic<std::uint64_t> untypedCount{0};
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kTenants; ++t) {
+        submitters.emplace_back([&, t] {
+            const std::string tenant = "tenant-" + std::to_string(t);
+            const std::size_t asCount = rotation[0]->topology().asCount();
+            for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);
+                 ++i) {
+                // Three in four requests are one-cut what-ifs, each cable
+                // a cache entry of its own.
+                static constexpr const char* kCables[] = {"WACS", "SEACOM",
+                                                          "ACE"};
+                const char* cable = kCables[(t + i) % 3];
+                ServiceRequest request =
+                    i % 4 == 3 ? queryRequest(tenant, (t + i) % asCount,
+                                              (t * 7 + i * 3) % asCount)
+                               : sweepRequest(tenant, cableCuts({cable}));
+                const ServiceResponse response =
+                    service.submit(std::move(request)).get();
+                if (response.status == ResponseStatus::Ok) {
+                    okCount.fetch_add(1, std::memory_order_relaxed);
+                    const auto& served =
+                        rotation[static_cast<std::size_t>(response.epoch -
+                                                          1) %
+                                 rotation.size()];
+                    if (response.digest != served->digest()) {
+                        tornReads.fetch_add(1, std::memory_order_relaxed);
+                    }
+                } else if (response.status == ResponseStatus::Failed ||
+                           (response.status == ResponseStatus::Rejected &&
+                            response.reject == RejectReason::None)) {
+                    untypedCount.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        });
+    }
+    // A slow build (a sanitizer lane's) can outlast a short window, so
+    // the soak runs on until the rung has run at least once, for at most
+    // a minute more.
+    const obs::Counter& shrinks = metrics.counter("service.cache_shrinks");
+    const std::uint64_t cap = deadline + 60'000'000'000ULL;
+    std::uint64_t swaps = 0;
+    for (std::uint64_t now = clock.nowNanos();
+         now < deadline || (shrinks.value() == 0 && now < cap);
+         now = clock.nowNanos()) {
+        (void)service.publish(rotation[(swaps + 1) % rotation.size()]);
+        ++swaps;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    stop.store(true);
+    for (std::thread& submitter : submitters) {
+        submitter.join();
+    }
+    service.stop();
+
+    EXPECT_EQ(tornReads.load(), 0u);
+    EXPECT_EQ(untypedCount.load(), 0u);
+    EXPECT_GT(okCount.load(), 0u);
+    EXPECT_GT(shrinks.value(), 0u) << "the memory rung never ran";
+    EXPECT_EQ(service.epochs().liveEpochs(), 1u);
     EXPECT_EQ(service.queueDepth(), 0u);
 }
 

@@ -2,11 +2,14 @@
 // gate (AIO_LARGE_SMOKE=1; skipped otherwise). A 49 404-AS continent,
 // routed under the sharded policy with the tuning of the 50k
 // BM_ShardedSweepScenarios row (8-destination shards, a 2 GiB resident
-// budget), sweeps the four-cable west-corridor cut on a 4-lane pool. A
-// cacheless plain sweep scores the state destination-major and builds no
-// scenario oracle, so the process stays under a peak-RSS ceiling that a
-// second 2 GiB oracle beside the baseline would cross, and a cancel()
-// mid-sweep raises net::CancelledError within one pool chunk or so.
+// budget), sweeps the four-cable west-corridor cut on a 4-lane pool. The
+// analyzer takes its baseline success from a reachability pass, so the
+// sharded baseline oracle solves no row at construction, and a cacheless
+// plain sweep answers the state's queries with reachability passes and
+// builds no scenario oracle. The process therefore stays under a peak-RSS
+// ceiling that a baseline walked row by row at construction would cross,
+// and a cancel() mid-sweep raises net::CancelledError within one
+// (state, destination block) item or so.
 
 #include <gtest/gtest.h>
 
@@ -76,16 +79,30 @@ TEST(ContinentWhatIf, FiftyKWestCorridorCutUnderRssCeilingAndCancels) {
     EXPECT_EQ(result.stats.dirtyDestinations,
               substrate.analyzer().plannedDestinations());
 
-    // The analyzer's sharded baseline fills up to its 2 GiB budget; a
-    // scenario oracle filling a second one took the process to 4.23 GB.
-    const std::size_t ceiling = std::size_t{3} << 30;
+    // Walking the sharded baseline at construction took the process to
+    // ~2.1 GiB, and a scenario oracle beside it to 4.23 GB; with neither,
+    // it peaks near 0.15 GiB.
+    const std::size_t ceiling = std::size_t{1} << 30;
     const std::size_t peak = peakRssBytes();
     if (peak > 0) {
         EXPECT_LT(peak, ceiling) << "50k what-if peak RSS over its ceiling";
     }
 
-    // One pool chunk here is ~500 rows per lane, a few tenths of a
-    // second; cancellation is polled between chunks.
+    // One state takes a few tenths of a second here, so the cancellable
+    // run sweeps every pair of trunk cables, 55 distinct states and
+    // seconds of work, and is still in flight when cancel() fires. It is
+    // polled once per (state, destination block) item, milliseconds each.
+    const std::vector<std::string> trunks = {
+        "WACS",  "MainOne", "SAT-3", "ACE",     "Glo-1",  "SEACOM",
+        "EASSy", "EIG",     "AAE-1", "Equiano", "2Africa"};
+    std::vector<core::ScenarioSpec> pairs;
+    for (std::size_t a = 0; a < trunks.size(); ++a) {
+        for (std::size_t b = a + 1; b < trunks.size(); ++b) {
+            core::ScenarioSpec& spec = pairs.emplace_back();
+            spec.name = trunks[a] + "+" + trunks[b];
+            spec.cutCables = {trunks[a], trunks[b]};
+        }
+    }
     exec::CancelToken token;
     const ScenarioSweepEngine cancellable{substrate,
                                           SweepOptions{.cancel = &token}};
@@ -95,13 +112,16 @@ TEST(ContinentWhatIf, FiftyKWestCorridorCutUnderRssCeilingAndCancels) {
         firedAt = Clock::now();
         token.cancel();
     }};
-    EXPECT_THROW((void)cancellable.run(specs), net::CancelledError);
+    EXPECT_THROW((void)cancellable.run(pairs), net::CancelledError);
     const Clock::time_point raisedAt = Clock::now();
     canceller.join();
     const double cancelSeconds =
         std::chrono::duration<double>(raisedAt - firedAt).count();
     EXPECT_LT(cancelSeconds, 2.0) << "cancel() took too long to surface";
-    std::cout << "50k what-if: sweep " << sweepSeconds << " s, peak RSS "
+    std::cout << "50k what-if: "
+              << substrate.analyzer().plannedDestinations()
+              << " planned destinations, sweep " << sweepSeconds
+              << " s, peak RSS "
               << static_cast<double>(peak) / (1 << 30) << " GiB, cancel "
               << cancelSeconds << " s\n";
 }

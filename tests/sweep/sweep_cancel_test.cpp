@@ -17,6 +17,7 @@
 #include "netbase/error.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
+#include "routing/route_kernel.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
 
@@ -136,11 +137,13 @@ TEST(SweepCancel, QuietTokenLeavesOutcomesIdentical) {
 }
 
 TEST(SweepCancel, DeadlineInsideTheDestinationLoopRaisesTypedError) {
-    // A one-state batch without a pool polls its token once per phase
-    // boundary and once per destination row. A quiet run counts the
-    // polls; a deadline half the rows before the end then falls inside
-    // the row loop, whatever the split of the few phase polls between
-    // before and after it.
+    // A batch without a pool polls its token once per phase boundary,
+    // once per (state, destination block) item while it answers the
+    // states' queries, and once per scenario while it scores them. A
+    // quiet run counts the polls; a deadline half the items before the
+    // end of the item loop then falls inside it, whatever the split of
+    // the few phase polls between before and after it. Every trunk cable
+    // cut on its own gives the batch enough distinct states for that.
     const topo::Topology topo =
         topo::TopologyGenerator{tinyConfig(5)}.generate();
     obs::ManualClock metricsClock;
@@ -151,27 +154,42 @@ TEST(SweepCancel, DeadlineInsideTheDestinationLoopRaisesTypedError) {
         topo, phys::CableRegistry::africanDefaults(),
         dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
         options};
-    std::vector<core::ScenarioSpec> specs(1);
-    specs[0].name = "west-corridor";
-    specs[0].cutCables = {"WACS", "MainOne", "SAT-3", "ACE"};
-    const std::uint64_t rows = substrate.analyzer().plannedDestinations();
+    std::vector<core::ScenarioSpec> specs;
+    for (const char* cable : {"WACS", "MainOne", "SAT-3", "ACE", "Glo-1",
+                              "SEACOM", "EASSy", "EIG", "AAE-1", "Equiano",
+                              "2Africa"}) {
+        core::ScenarioSpec spec;
+        spec.name = std::string{"cut-"} + cable;
+        spec.cutCables = {cable};
+        specs.push_back(std::move(spec));
+    }
+    const std::uint64_t blocks =
+        (substrate.analyzer().plannedDestinations() +
+         route::kernel::kReachBlock - 1) /
+        route::kernel::kReachBlock;
 
     SteppingClock quietClock;
     const exec::CancelToken quiet{&quietClock, exec::kNoDeadlineNanos - 1};
     const SweepResult expected =
         ScenarioSweepEngine{substrate, SweepOptions{.cancel = &quiet}}.run(
             specs);
-    ASSERT_TRUE(expected.scenarios[0].outcome.hasValue());
+    for (const ScenarioResult& scenario : expected.scenarios) {
+        ASSERT_TRUE(scenario.outcome.hasValue());
+    }
+    const std::uint64_t items = expected.stats.incrementalBuilds * blocks;
+    const std::uint64_t scenarios = specs.size();
     const std::uint64_t total = quietClock.reads();
-    ASSERT_GE(total, rows);
-    ASSERT_LE(total - rows, rows / 2) << "phase polls should be a handful";
+    ASSERT_GE(items, 8U) << "too few distinct states to aim inside the items";
+    ASSERT_GE(total, items + scenarios);
+    ASSERT_LE(total - items - scenarios, items / 2)
+        << "phase polls should be a handful";
     EXPECT_EQ(metrics.histogram("sweep.build_seconds").snapshot().count, 0U)
         << "a cacheless plain sweep builds no oracle";
     const auto scored =
         metrics.histogram("sweep.scenario_seconds").snapshot().count;
 
     SteppingClock clock;
-    const std::uint64_t deadlineRead = total - rows / 2;
+    const std::uint64_t deadlineRead = total - scenarios - items / 2;
     const exec::CancelToken deadline{&clock, deadlineRead};
     const ScenarioSweepEngine engine{substrate,
                                      SweepOptions{.cancel = &deadline}};
